@@ -27,12 +27,12 @@ func auditBytes(t *testing.T, rec *audit.Recorder) []byte {
 // which node executed the job.
 func TestShardedAuditByteIdentical(t *testing.T) {
 	p := hw.TX2()
-	jobs := RandomJobs(32, 200*time.Millisecond, 13)
+	jobs := roundJobs(40*time.Millisecond, 13)
 	run := func(shards int) []byte {
 		rec := audit.New(audit.Config{RingSize: -1})
 		cfg := Config{
 			Nodes: 8, Platform: p, NewCtl: planFactory(),
-			Audit: rec, Shards: shards, AdmitBatch: 4, StealSeed: 3,
+			Audit: rec, Shards: shards,
 		}
 		runCfg(t, cfg, jobs)
 		return auditBytes(t, rec)
@@ -56,7 +56,7 @@ func TestShardedAuditByteIdentical(t *testing.T) {
 	}
 	for _, shards := range []int{2, 4, 8} {
 		if got := run(shards); !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d: audit export differs from single-queue baseline", shards)
+			t.Fatalf("shards=%d: audit export differs from one-shard baseline", shards)
 		}
 	}
 }
@@ -68,14 +68,13 @@ func TestShardedAuditByteIdentical(t *testing.T) {
 // simulating concurrently.
 func TestShardedAuditDeterministicWithPlans(t *testing.T) {
 	p := hw.TX2()
-	jobs := RandomJobs(24, 300*time.Millisecond, 17)
+	jobs := roundJobs(40*time.Millisecond, 17)
 	for _, shards := range []int{1, 2, 4} {
 		run := func() []byte {
 			rec := audit.New(audit.Config{RingSize: 256})
 			cfg := Config{
 				Nodes: 6, Platform: p, NewCtl: planFactory(),
-				Faults: crashyFaults(5), Audit: rec,
-				Shards: shards, AdmitBatch: 4, StealSeed: 3,
+				Faults: crashyFaults(5), Audit: rec, Shards: shards,
 			}
 			runCfg(t, cfg, jobs)
 			return auditBytes(t, rec)
@@ -92,7 +91,7 @@ func TestShardedAuditDeterministicWithPlans(t *testing.T) {
 	// With rings on, merged records land on per-node tracks and the plan's
 	// instrumentation points appear as apply cells on both blocks.
 	rec := audit.New(audit.Config{RingSize: 256})
-	cfg := Config{Nodes: 6, Platform: p, NewCtl: planFactory(), Audit: rec, Shards: 2, AdmitBatch: 4, StealSeed: 3}
+	cfg := Config{Nodes: 6, Platform: p, NewCtl: planFactory(), Audit: rec, Shards: 2}
 	runCfg(t, cfg, jobs)
 	snap := rec.Snapshot()
 	if len(snap.Tracks) == 0 {

@@ -76,32 +76,26 @@ type Config struct {
 
 	// Macro, when non-nil, is the shared flow-summary cache threaded through
 	// every executor the run creates — the dry-run service probes and the
-	// per-node task-flow simulations, on both dispatchers — enabling the
-	// analytic fast-forward of sim (macro.go) with single-flight fill across
-	// nodes. Macro runs force SensorPeriod=0 on those executors (the
-	// per-node power-sample trace is incompatible with fast-forward), so set
-	// TraceOff on a reference run when byte-comparing macro against micro.
-	// Executors that demote (fault injection, obs, audit) micro-step
-	// automatically; results are bit-identical either way.
+	// per-node task-flow simulations — enabling the analytic fast-forward of
+	// sim (macro.go) with single-flight fill across nodes. Macro runs force
+	// SensorPeriod=0 on those executors (the per-node power-sample trace is
+	// incompatible with fast-forward), so set TraceOff on a reference run
+	// when byte-comparing macro against micro. Executors that demote (fault
+	// injection, obs, audit) micro-step automatically; results are
+	// bit-identical either way.
 	Macro *sim.SummaryCache
 	// TraceOff disables the per-node power-sample trace without enabling
 	// macro-stepping: the micro-stepped reference configuration for
 	// macro-vs-micro identity checks.
 	TraceOff bool
 
-	// Shards > 1 enables the sharded work-stealing dispatcher (dispatch.go):
-	// nodes are partitioned round-robin into shards, jobs are admitted in
-	// arrival-ordered batches, each shard dispatches to its own nodes
+	// Shards partitions the nodes round-robin into dispatcher shards
+	// (dispatch.go), clamped to [1, Nodes]; 0 means 1. One shard is a single
+	// FCFS queue over the whole fleet. With more, jobs are admitted in
+	// arrival-ordered rounds, each shard dispatches to its own nodes
 	// concurrently, and a seeded, deterministic steal phase rebalances queues
-	// between rounds. 0 or 1 keeps the single-queue dispatcher bit-for-bit.
-	// Shards above Nodes is clamped to Nodes.
+	// between rounds.
 	Shards int
-	// AdmitBatch is the number of jobs admitted per sharded dispatch round
-	// (default 32; ignored by the single-queue dispatcher).
-	AdmitBatch int
-	// StealSeed seeds each shard's victim order for work stealing
-	// (default 1; ignored by the single-queue dispatcher).
-	StealSeed int64
 }
 
 // Trace track-ID scheme: job lifecycle events for node n go on track
@@ -182,8 +176,9 @@ func (r Result) Headline() map[string]float64 {
 	return h
 }
 
-// svcKey identifies a dry-run service time: the graph's canonical digest plus
-// the image count. The digest — not the model name — is the identity: two
+// svcKey identifies a dry-run service time: the graph's canonical digest
+// (memoized on the graph, so keying a job costs one atomic load) plus the
+// image count. The digest — not the model name — is the identity: two
 // registered configurations can share a name while differing in structure, and
 // keying on the name alone would serve one config's latency and energy to the
 // other's dispatch decisions.
@@ -192,30 +187,17 @@ type svcKey struct {
 	images int
 }
 
-// svcKeys memoizes graph digests by pointer for one run. Writes happen only in
-// sequential phases (runSingle's dispatch loop; runSharded's fill-phase scan,
-// which keys every batch job before the concurrent phases start), so the
-// concurrent dispatch phase only ever reads the memo.
-type svcKeys struct {
-	digests map[*graph.Graph]uint64
-}
+// serviceKey returns the key of j's dry run.
+func serviceKey(j Job) svcKey { return svcKey{digest: graph.Digest(j.Graph), images: j.Images} }
 
-func newSvcKeys() *svcKeys { return &svcKeys{digests: map[*graph.Graph]uint64{}} }
-
-func (s *svcKeys) key(j Job) svcKey {
-	d, ok := s.digests[j.Graph]
-	if !ok {
-		d = graph.Digest(j.Graph)
-		s.digests[j.Graph] = d
-	}
-	return svcKey{digest: d, images: j.Images}
-}
-
-// newDryRunExecutor builds the executor for a dispatch-plan service probe: a
-// fresh fault-free controller at the cluster's batch setting, sharing the
-// run's macro cache when one is configured (probe and node simulations hit
-// the same flow summaries).
-func newDryRunExecutor(cfg Config) *sim.Executor {
+// newExecutor builds a fresh executor at the cluster's policy and batch
+// setting. Macro and TraceOff runs drop the power-sample trace
+// (SensorPeriod=0, which fast-forward requires) and share the run's summary
+// cache, so service probes and node simulations hit the same flow summaries
+// (single-flight fill across goroutines). Executors with demoting attachments
+// — a live injector, obs, audit — micro-step on their own; either way results
+// are bit-identical to the micro reference.
+func newExecutor(cfg Config) *sim.Executor {
 	e := sim.NewExecutor(cfg.Platform, cfg.NewCtl())
 	e.Batch = cfg.Batch
 	if cfg.Macro != nil || cfg.TraceOff {
@@ -241,21 +223,19 @@ type nodeState struct {
 	jobs  int
 }
 
-// Run dispatches jobs (sorted by arrival) to the earliest-available node
-// and simulates every node's task flow. Job service times are measured with
-// a per-job dry run at the node's policy, so dispatch decisions see the
-// same latency the simulation produces.
+// Run dispatches jobs to the cluster's nodes with the sharded work-stealing
+// dispatcher (dispatch.go) and simulates every node's task flow. Within a
+// shard each job goes to the earliest-available node, FCFS; with one shard
+// (Shards 0 or 1, or a single node) that is a single fleet-wide queue. Job
+// service times are measured with a per-key dry run at the node's policy, so
+// dispatch decisions see the same latency the simulation produces.
 //
 // Under a fault schedule, a node that crashes mid-job loses that job's
 // partial work (accounted via the dry run's energy) and the job fails over
 // to the earliest surviving node; a crashed node takes no further work. If
 // every node is lost, remaining jobs are dropped and counted, never
-// panicking the run.
-//
-// With Config.Shards > 1, dispatch runs on the sharded work-stealing path
-// (dispatch.go) instead; results are deterministic for a fixed config at any
-// shard count, and Shards <= 1 is bit-identical to the single-queue
-// dispatcher.
+// panicking the run. Results are deterministic for a fixed config at any
+// shard count.
 func Run(cfg Config, jobs []Job) (Result, error) {
 	if cfg.Nodes < 1 {
 		return Result{}, fmt.Errorf("cloud: need at least one node, got %d", cfg.Nodes)
@@ -263,133 +243,19 @@ func Run(cfg Config, jobs []Job) (Result, error) {
 	if cfg.Platform == nil || cfg.NewCtl == nil {
 		return Result{}, fmt.Errorf("cloud: platform and controller factory required")
 	}
-	if shards := cfg.Shards; shards > 1 {
-		if shards > cfg.Nodes {
-			shards = cfg.Nodes
-		}
-		if shards > 1 {
-			return runSharded(cfg, shards, jobs)
-		}
-	}
-	return runSingle(cfg, jobs)
+	shards := min(max(cfg.Shards, 1), cfg.Nodes)
+	return dispatch(cfg, shards, jobs)
 }
 
-// runSingle is the single-queue FCFS dispatcher (the pre-sharding code path,
-// kept verbatim so Shards <= 1 stays bit-identical).
-func runSingle(cfg Config, jobs []Job) (Result, error) {
-	queue := make([]queuedJob, len(jobs))
-	for i, j := range jobs {
-		queue[i] = queuedJob{Job: j, orig: j.Arrival}
+// finishRun simulates every loaded node and aggregates the cluster result
+// with the dispatch tally sum.
+func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, sum tally, mNodesLost obs.Counter) (Result, error) {
+	res := Result{
+		Failovers:   sum.failovers,
+		DroppedJobs: sum.dropped,
+		LostEnergyJ: sum.lostEnergyJ,
+		LostImages:  sum.lostImages,
 	}
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].Arrival < queue[j].Arrival })
-
-	// Per-model service cache (dry run on a fresh, fault-free controller:
-	// dispatch plans with nominal latencies; faults hit the real run).
-	serviceCache := map[svcKey]sim.Result{}
-	keys := newSvcKeys()
-	service := func(j Job) sim.Result {
-		key := keys.key(j)
-		if r, ok := serviceCache[key]; ok {
-			return r
-		}
-		e := newDryRunExecutor(cfg)
-		r := e.RunTask(j.Graph, j.Images)
-		serviceCache[key] = r
-		return r
-	}
-
-	crashAt := cfg.Faults.CrashTimes(cfg.Nodes)
-
-	var mJobs, mNodesLost, mLostEnergy obs.Counter
-	if cfg.Obs != nil {
-		m := cfg.Obs.Metrics
-		mJobs = m.Counter("cloud_jobs_total",
-			"Dispatched jobs by outcome (completed, failover, dropped).", "outcome")
-		mNodesLost = m.Counter("cloud_nodes_lost_total",
-			"Nodes whose scheduled crash fell inside the trace.")
-		mLostEnergy = m.Counter("cloud_lost_energy_joules_total",
-			"Energy burned on work destroyed by node crashes.")
-	}
-
-	nodes := make([]nodeState, cfg.Nodes)
-	res := Result{}
-	var turnaround time.Duration
-	completed := 0
-
-	for len(queue) > 0 {
-		j := queue[0]
-		queue = queue[1:]
-
-		// Earliest-available surviving node (FCFS dispatch). A node whose
-		// crash precedes the job's possible start can never take it.
-		best, bestStart := -1, time.Duration(0)
-		for n := 0; n < cfg.Nodes; n++ {
-			s := maxDur(j.Arrival, nodes[n].free)
-			if s >= crashAt[n] {
-				continue
-			}
-			if best < 0 || s < bestStart {
-				best, bestStart = n, s
-			}
-		}
-		if best < 0 {
-			// No node can ever take this job: the degraded cluster drops it.
-			res.DroppedJobs++
-			if cfg.Obs != nil {
-				mJobs.Inc("dropped")
-				cfg.Obs.Tracer.Instant("job", "dropped", 0, j.Arrival,
-					map[string]any{"model": j.Graph.Name, "images": j.Images})
-			}
-			continue
-		}
-		ns := &nodes[best]
-		dry := service(j.Job)
-		end := bestStart + dry.Time
-		if end > crashAt[best] {
-			// The node dies mid-job: its partial work is destroyed. Energy
-			// already burned on it is attributed to the run (pro-rated from
-			// the dry run) and the job fails over to a surviving node,
-			// re-entering the queue at the crash instant.
-			ran := crashAt[best] - bestStart
-			frac := ran.Seconds() / dry.Time.Seconds()
-			res.LostEnergyJ += dry.EnergyJ * frac
-			res.LostImages += int(float64(j.Images)*frac + 0.5)
-			res.Failovers++
-			if cfg.Obs != nil {
-				mJobs.Inc("failover")
-				mLostEnergy.Add(dry.EnergyJ * frac)
-				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
-					bestStart, ran, map[string]any{"node": best, "aborted": true})
-				cfg.Obs.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
-					map[string]any{"model": j.Graph.Name, "node": best})
-			}
-			ns.free = crashAt[best]
-			j.Arrival = crashAt[best]
-			requeue(&queue, j)
-			continue
-		}
-		if len(ns.tasks) > 0 {
-			ns.gaps = append(ns.gaps, bestStart-ns.free)
-		}
-		ns.tasks = append(ns.tasks, sim.Task{Graph: j.Graph, Images: j.Images})
-		ns.free = end
-		ns.jobs++
-		completed++
-		turnaround += end - j.orig
-		if cfg.Obs != nil {
-			mJobs.Inc("completed")
-			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
-				map[string]any{"node": best, "images": j.Images,
-					"queued_ms": float64((bestStart - j.orig).Milliseconds())})
-		}
-	}
-
-	return finishRun(cfg, nodes, crashAt, res, turnaround, completed, mNodesLost)
-}
-
-// finishRun simulates every loaded node and aggregates the cluster result;
-// both dispatchers end here with identical float summation order.
-func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Result, turnaround time.Duration, completed int, mNodesLost obs.Counter) (Result, error) {
 	// Simulate every loaded node concurrently — nodes are independent
 	// boards, and per-node fault streams are seeded per node index, so the
 	// outcome is deterministic regardless of goroutine scheduling. Each node
@@ -409,17 +275,7 @@ func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Resul
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			e := sim.NewExecutor(cfg.Platform, cfg.NewCtl())
-			e.Batch = cfg.Batch
-			if cfg.Macro != nil || cfg.TraceOff {
-				// Macro nodes share the run's summary cache (single-flight
-				// fill across node goroutines). Executors with demoting
-				// attachments below — a live injector, obs, audit — fall back
-				// to micro-stepping on their own; either way the node result
-				// is bit-identical to the micro reference.
-				e.SensorPeriod = 0
-				e.Summaries = cfg.Macro
-			}
+			e := newExecutor(cfg)
 			e.Faults = hw.NewInjector(cfg.Faults.ForNode(n))
 			if no := cfg.Obs.ForTrack(nodeTrackBase + n); no != nil {
 				no.Metrics = obs.NewRegistry()
@@ -493,8 +349,8 @@ func finishRun(cfg Config, nodes []nodeState, crashAt []time.Duration, res Resul
 		}
 	}
 	res.TotalEnergyJ += res.LostEnergyJ
-	if completed > 0 {
-		res.MeanTurnaround = turnaround / time.Duration(completed)
+	if sum.completed > 0 {
+		res.MeanTurnaround = sum.turnaround / time.Duration(sum.completed)
 	}
 	return res, nil
 }

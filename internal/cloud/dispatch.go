@@ -1,9 +1,8 @@
-// The sharded work-stealing dispatcher: the single-queue FCFS loop in
-// cluster.go walks every node per job, which serializes dispatch for large
-// fleets. Here the nodes are partitioned round-robin into shards, jobs are
-// admitted in arrival-ordered batches, and each round runs four phases:
+// The cluster's dispatcher. The nodes are partitioned round-robin into
+// shards, jobs are admitted in arrival-ordered rounds, and each round runs
+// four phases:
 //
-//  1. fill — service times for the batch's uncached model/images keys are
+//  1. fill — service times for the round's uncached model/images keys are
 //     dry-run in parallel, then written to the shared cache in admission
 //     order (a service time depends only on its key, so which worker
 //     computes it cannot change the value);
@@ -11,10 +10,15 @@
 //     the tail job from the first profitable victim in its seeded victim
 //     order, repeating until no steal is profitable (or a bound is hit);
 //  3. dispatch — shards place their queues onto their own nodes
-//     concurrently (earliest-available FCFS within the shard, with the same
-//     mid-job crash failover as the single-queue path);
-//  4. orphans — jobs no surviving node of their shard could take are
-//     reassigned sequentially across the whole fleet, or dropped.
+//     concurrently (earliest-available FCFS within the shard, with mid-job
+//     crash failover requeued in the shard's queue);
+//  4. orphans — jobs no surviving node of their shard could take are placed
+//     sequentially across the whole fleet by the same rule, or dropped.
+//
+// One shard admits the whole trace as a single round: rounds exist only to
+// bound cross-shard stealing, and a single round makes the shard's queue the
+// fleet's one FCFS queue, so a failed-over job can requeue behind any later
+// arrival. More shards admit rounds of admitBatch jobs.
 //
 // Determinism at any shard count: every cross-shard decision (admission,
 // home assignment, stealing, orphan reassignment, counter flushes) happens
@@ -40,9 +44,33 @@ import (
 // track shardTrackBase+shard, clear of the job (10+) and node (100+) ranges.
 const shardTrackBase = 1000
 
-// defaultAdmitBatch is the per-round admission batch when Config.AdmitBatch
-// is unset.
-const defaultAdmitBatch = 32
+// admitBatch is the number of jobs admitted per round when there is more
+// than one shard; stealSeed seeds each shard's steal victim order.
+const (
+	admitBatch = 32
+	stealSeed  = 1
+)
+
+// tally accumulates the outcomes of one placement queue: a shard's over the
+// whole run, or the fleet-wide orphan pass's.
+type tally struct {
+	completed   int
+	failovers   int
+	dropped     int
+	lostEnergyJ float64
+	lostImages  int
+	turnaround  time.Duration
+}
+
+// add folds o into t.
+func (t *tally) add(o *tally) {
+	t.completed += o.completed
+	t.failovers += o.failovers
+	t.dropped += o.dropped
+	t.lostEnergyJ += o.lostEnergyJ
+	t.lostImages += o.lostImages
+	t.turnaround += o.turnaround
+}
 
 // shardState is one dispatcher shard: its owned nodes, its current-round
 // queue, and run-total accumulators flushed to shared obs counters in shard
@@ -52,14 +80,10 @@ type shardState struct {
 	nodes   []int       // owned node indices
 	victims []int       // seeded steal order over the other shards
 	queue   []queuedJob // current round, sorted by arrival
+	orphans []queuedJob // this round's jobs no owned node can take
 
-	completed   int
-	failovers   int
-	steals      int
-	lostEnergyJ float64
-	lostImages  int
-	turnaround  time.Duration
-	orphans     []queuedJob // this round's infeasible jobs
+	tally
+	steals int
 }
 
 // survivors counts the shard's nodes that are still alive given their
@@ -99,22 +123,18 @@ func (sh *shardState) load(nodes []nodeState, crashAt []time.Duration, svc func(
 
 const inf = 1e308
 
-// runSharded is the Shards > 1 dispatch path; see the package comment above
-// for the phase structure and the determinism argument.
-func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
+// dispatch places jobs on numShards shards and simulates the nodes; see the
+// file comment above for the phase structure and the determinism argument.
+func dispatch(cfg Config, numShards int, jobs []Job) (Result, error) {
 	pending := make([]queuedJob, len(jobs))
 	for i, j := range jobs {
 		pending[i] = queuedJob{Job: j, orig: j.Arrival}
 	}
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
 
-	admit := cfg.AdmitBatch
-	if admit <= 0 {
-		admit = defaultAdmitBatch
-	}
-	stealSeed := cfg.StealSeed
-	if stealSeed == 0 {
-		stealSeed = 1
+	admit := len(pending)
+	if numShards > 1 {
+		admit = admitBatch
 	}
 
 	shards := make([]*shardState, numShards)
@@ -128,19 +148,20 @@ func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
 		}
 	}
 	nodes := make([]nodeState, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
+	fleet := make([]int, cfg.Nodes)
+	for n := range fleet {
+		fleet[n] = n
 		sh := shards[n%numShards]
 		sh.nodes = append(sh.nodes, n)
 	}
 	crashAt := cfg.Faults.CrashTimes(cfg.Nodes)
 
 	// Shared service cache. Written only during the sequential part of the
-	// fill phase (which also memoizes every batch job's graph digest); the
-	// concurrent dispatch phase reads it for keys the fill phase guaranteed
-	// are present (failovers and steals reuse a batch job's own key).
+	// fill phase; the concurrent dispatch phase reads it for keys the fill
+	// phase guaranteed are present (failovers and steals reuse a round job's
+	// own key).
 	serviceCache := map[svcKey]sim.Result{}
-	keys := newSvcKeys()
-	svc := func(j Job) sim.Result { return serviceCache[keys.key(j)] }
+	svc := func(j Job) sim.Result { return serviceCache[serviceKey(j)] }
 
 	var mJobs, mNodesLost, mLostEnergy, mShardJobs, mSteals obs.Counter
 	if cfg.Obs != nil {
@@ -157,20 +178,14 @@ func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
 			"Jobs moved between shard queues by work stealing.", "shard")
 	}
 
-	res := Result{}
-	var turnaround time.Duration
-	completed := 0
+	var orphanTally tally
 	admitted := 0
-
 	for len(pending) > 0 {
-		n := admit
-		if n > len(pending) {
-			n = len(pending)
-		}
+		n := min(admit, len(pending))
 		batch := pending[:n]
 		pending = pending[n:]
 
-		fillServiceCache(cfg, serviceCache, keys, batch)
+		fillServiceCache(cfg, serviceCache, batch)
 
 		// Home assignment: global admission counter round-robin, so the
 		// partition depends only on arrival order. Each shard's queue stays
@@ -183,76 +198,92 @@ func runSharded(cfg Config, numShards int, jobs []Job) (Result, error) {
 		stealPhase(cfg, shards, nodes, crashAt, svc, n)
 
 		// Concurrent per-shard dispatch: disjoint nodes, disjoint trace
-		// tracks, per-shard accumulators — nothing shared is written.
+		// tracks, per-shard tallies — nothing shared is written.
 		var wg sync.WaitGroup
 		for _, sh := range shards {
 			wg.Add(1)
 			go func(sh *shardState) {
 				defer wg.Done()
-				dispatchShard(cfg, sh, nodes, crashAt, svc)
+				sh.orphans = place(cfg, sh.queue, sh.nodes, nodes, crashAt, svc, &sh.tally)
+				sh.queue = sh.queue[:0]
 			}(sh)
 		}
 		wg.Wait()
 
 		// Orphan reassignment (sequential, shard order): jobs whose home
-		// shard had no surviving feasible node get the whole fleet.
+		// shard had no surviving feasible node get the whole fleet; jobs
+		// the whole fleet cannot take are dropped.
 		var orphans []queuedJob
 		for _, sh := range shards {
 			orphans = append(orphans, sh.orphans...)
-			sh.orphans = sh.orphans[:0]
 		}
 		sort.SliceStable(orphans, func(i, j int) bool { return orphans[i].Arrival < orphans[j].Arrival })
-		placeOrphans(cfg, &res, nodes, crashAt, orphans, svc, &turnaround, &completed, mJobs, mLostEnergy)
+		for _, j := range place(cfg, orphans, fleet, nodes, crashAt, svc, &orphanTally) {
+			orphanTally.dropped++
+			if cfg.Obs != nil {
+				mJobs.Inc("dropped")
+				cfg.Obs.Tracer.Instant("job", "dropped", 0, j.Arrival,
+					map[string]any{"model": j.Graph.Name, "images": j.Images})
+			}
+		}
 	}
 
-	// Flush per-shard accumulators in shard order so counter values (the
-	// float ones especially) never depend on dispatch goroutine timing.
+	// Flush the tallies in a fixed order — the orphan pass first, then the
+	// shards by id — so float sums (lost energy, in the result and its
+	// counter) never depend on dispatch goroutine timing.
+	var sum tally
+	flush := func(t *tally) {
+		sum.add(t)
+		if cfg.Obs != nil {
+			mJobs.Add(float64(t.completed), "completed")
+			mJobs.Add(float64(t.failovers), "failover")
+			mLostEnergy.Add(t.lostEnergyJ)
+		}
+	}
+	flush(&orphanTally)
 	for _, sh := range shards {
-		res.Failovers += sh.failovers
-		res.LostEnergyJ += sh.lostEnergyJ
-		res.LostImages += sh.lostImages
-		turnaround += sh.turnaround
-		completed += sh.completed
+		flush(&sh.tally)
 		if cfg.Obs != nil {
 			label := strconv.Itoa(sh.id)
 			mShardJobs.Add(float64(sh.completed), label)
 			mSteals.Add(float64(sh.steals), label)
-			mJobs.Add(float64(sh.completed), "completed")
-			mJobs.Add(float64(sh.failovers), "failover")
-			mLostEnergy.Add(sh.lostEnergyJ)
 		}
 	}
 
-	return finishRun(cfg, nodes, crashAt, res, turnaround, completed, mNodesLost)
+	return finishRun(cfg, nodes, crashAt, sum, mNodesLost)
 }
 
 // fillServiceCache dry-runs the batch's uncached model/images keys in
 // parallel and commits the results in admission order. A dry run uses a
 // fresh executor and controller, so its result is a pure function of the
 // key — worker assignment cannot change what gets cached.
-func fillServiceCache(cfg Config, cache map[svcKey]sim.Result, keys *svcKeys, batch []queuedJob) {
+func fillServiceCache(cfg Config, cache map[svcKey]sim.Result, batch []queuedJob) {
 	var missing []Job
 	seen := map[svcKey]bool{}
 	for _, j := range batch {
-		k := keys.key(j.Job)
+		k := serviceKey(j.Job)
 		if _, ok := cache[k]; !ok && !seen[k] {
 			seen[k] = true
 			missing = append(missing, j.Job)
 		}
 	}
 	results := make([]sim.Result, len(missing))
+	// A one-shard round is the whole trace, so bound the dry runs in flight
+	// to one multi-shard round's worth.
+	sem := make(chan struct{}, admitBatch)
 	var wg sync.WaitGroup
 	for i := range missing {
 		wg.Add(1)
+		sem <- struct{}{}
 		go func(i int) {
-			defer wg.Done()
-			e := newDryRunExecutor(cfg)
+			defer func() { <-sem; wg.Done() }()
+			e := newExecutor(cfg)
 			results[i] = e.RunTask(missing[i].Graph, missing[i].Images)
 		}(i)
 	}
 	wg.Wait()
 	for i, j := range missing {
-		cache[keys.key(j)] = results[i]
+		cache[serviceKey(j)] = results[i]
 	}
 }
 
@@ -314,20 +345,21 @@ func stealPhase(cfg Config, shards []*shardState, nodes []nodeState, crashAt []t
 	}
 }
 
-// dispatchShard drains one shard's round queue onto its own nodes with the
-// single-queue dispatcher's FCFS rule, including mid-job crash failover
-// (requeued within the shard at the crash instant). Jobs no surviving owned
-// node can take become orphans for the sequential reassignment phase. Runs
-// concurrently with the other shards; everything it writes — its nodes, its
-// accumulators, trace tracks jobTrackBase+{owned nodes} and
-// shardTrackBase+id — is shard-private.
-func dispatchShard(cfg Config, sh *shardState, nodes []nodeState, crashAt []time.Duration, svc func(Job) sim.Result) {
-	for len(sh.queue) > 0 {
-		j := sh.queue[0]
-		sh.queue = sh.queue[1:]
+// place drains queue FCFS onto the node set: each job goes to the set's
+// earliest-available node that survives to start it. A node that dies
+// mid-job destroys the job's partial work — the energy already burned on it,
+// pro-rated from the dry run, is tallied as lost — and the job fails over,
+// requeued in queue at the crash instant. Jobs no node in the set can ever
+// take are returned in queue order. Everything place writes — the set's
+// nodes, t, and trace tracks jobTrackBase+{set} — is private to the set, so
+// shards place concurrently.
+func place(cfg Config, queue []queuedJob, set []int, nodes []nodeState, crashAt []time.Duration, svc func(Job) sim.Result, t *tally) (stuck []queuedJob) {
+	for len(queue) > 0 {
+		j := queue[0]
+		queue = queue[1:]
 
 		best, bestStart := -1, time.Duration(0)
-		for _, n := range sh.nodes {
+		for _, n := range set {
 			s := maxDur(j.Arrival, nodes[n].free)
 			if s >= crashAt[n] {
 				continue
@@ -337,7 +369,7 @@ func dispatchShard(cfg Config, sh *shardState, nodes []nodeState, crashAt []time
 			}
 		}
 		if best < 0 {
-			sh.orphans = append(sh.orphans, j)
+			stuck = append(stuck, j)
 			continue
 		}
 		ns := &nodes[best]
@@ -346,9 +378,9 @@ func dispatchShard(cfg Config, sh *shardState, nodes []nodeState, crashAt []time
 		if end > crashAt[best] {
 			ran := crashAt[best] - bestStart
 			frac := ran.Seconds() / dry.Time.Seconds()
-			sh.lostEnergyJ += dry.EnergyJ * frac
-			sh.lostImages += int(float64(j.Images)*frac + 0.5)
-			sh.failovers++
+			t.lostEnergyJ += dry.EnergyJ * frac
+			t.lostImages += int(float64(j.Images)*frac + 0.5)
+			t.failovers++
 			if cfg.Obs != nil {
 				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
 					bestStart, ran, map[string]any{"node": best, "aborted": true})
@@ -357,7 +389,7 @@ func dispatchShard(cfg Config, sh *shardState, nodes []nodeState, crashAt []time
 			}
 			ns.free = crashAt[best]
 			j.Arrival = crashAt[best]
-			requeue(&sh.queue, j)
+			requeue(&queue, j)
 			continue
 		}
 		if len(ns.tasks) > 0 {
@@ -366,79 +398,13 @@ func dispatchShard(cfg Config, sh *shardState, nodes []nodeState, crashAt []time
 		ns.tasks = append(ns.tasks, sim.Task{Graph: j.Graph, Images: j.Images})
 		ns.free = end
 		ns.jobs++
-		sh.completed++
-		sh.turnaround += end - j.orig
+		t.completed++
+		t.turnaround += end - j.orig
 		if cfg.Obs != nil {
 			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
 				map[string]any{"node": best, "images": j.Images,
 					"queued_ms": float64((bestStart - j.orig).Milliseconds())})
 		}
 	}
-}
-
-// placeOrphans reassigns jobs whose home shard could not take them across
-// the whole fleet (earliest-available surviving node, crash failover,
-// dropped when nobody can ever run them). Sequential — free to touch shared
-// accounting and obs directly.
-func placeOrphans(cfg Config, res *Result, nodes []nodeState, crashAt []time.Duration, orphans []queuedJob, svc func(Job) sim.Result, turnaround *time.Duration, completed *int, mJobs, mLostEnergy obs.Counter) {
-	for len(orphans) > 0 {
-		j := orphans[0]
-		orphans = orphans[1:]
-
-		best, bestStart := -1, time.Duration(0)
-		for n := range nodes {
-			s := maxDur(j.Arrival, nodes[n].free)
-			if s >= crashAt[n] {
-				continue
-			}
-			if best < 0 || s < bestStart {
-				best, bestStart = n, s
-			}
-		}
-		if best < 0 {
-			res.DroppedJobs++
-			if cfg.Obs != nil {
-				mJobs.Inc("dropped")
-				cfg.Obs.Tracer.Instant("job", "dropped", 0, j.Arrival,
-					map[string]any{"model": j.Graph.Name, "images": j.Images})
-			}
-			continue
-		}
-		ns := &nodes[best]
-		dry := svc(j.Job)
-		end := bestStart + dry.Time
-		if end > crashAt[best] {
-			ran := crashAt[best] - bestStart
-			frac := ran.Seconds() / dry.Time.Seconds()
-			res.LostEnergyJ += dry.EnergyJ * frac
-			res.LostImages += int(float64(j.Images)*frac + 0.5)
-			res.Failovers++
-			if cfg.Obs != nil {
-				mJobs.Inc("failover")
-				mLostEnergy.Add(dry.EnergyJ * frac)
-				cfg.Obs.Tracer.Complete("job", j.Graph.Name+" (lost)", jobTrackBase+best,
-					bestStart, ran, map[string]any{"node": best, "aborted": true})
-				cfg.Obs.Tracer.Instant("job", "failover", jobTrackBase+best, crashAt[best],
-					map[string]any{"model": j.Graph.Name, "node": best})
-			}
-			ns.free = crashAt[best]
-			j.Arrival = crashAt[best]
-			requeue(&orphans, j)
-			continue
-		}
-		if len(ns.tasks) > 0 {
-			ns.gaps = append(ns.gaps, bestStart-ns.free)
-		}
-		ns.tasks = append(ns.tasks, sim.Task{Graph: j.Graph, Images: j.Images})
-		ns.free = end
-		ns.jobs++
-		*completed++
-		*turnaround += end - j.orig
-		if cfg.Obs != nil {
-			mJobs.Inc("completed")
-			cfg.Obs.Tracer.Complete("job", j.Graph.Name, jobTrackBase+best, bestStart, dry.Time,
-				map[string]any{"node": best, "images": j.Images,
-					"queued_ms": float64((bestStart - j.orig).Milliseconds())})
-		}
-	}
+	return stuck
 }

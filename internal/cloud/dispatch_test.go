@@ -20,33 +20,15 @@ func runCfg(t *testing.T, cfg Config, jobs []Job) Result {
 	return res
 }
 
-// TestShardedOneShardMatchesLegacy pins the compatibility contract: Shards=1
-// (and any shard count that clamps down to 1) must reproduce the single-queue
-// dispatcher byte for byte, fault-free and degraded alike.
-func TestShardedOneShardMatchesLegacy(t *testing.T) {
-	p := hw.TX2()
-	jobs := testJobs(20)
-	cases := []struct {
-		name   string
-		faults hw.FaultConfig
-	}{
-		{"fault-free", hw.FaultConfig{}},
-		{"crashy", crashyFaults(5)},
+// roundJobs is a 100-job trace: long enough that a multi-shard run crosses
+// four admission rounds, with 1–4 images per job so node simulation stays
+// cheap.
+func roundJobs(meanGap time.Duration, seed int64) []Job {
+	jobs := RandomJobs(100, meanGap, seed)
+	for i := range jobs {
+		jobs[i].Images /= 25
 	}
-	for _, tc := range cases {
-		legacy := runCfg(t, Config{Nodes: 4, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults}, jobs)
-		one := runCfg(t, Config{Nodes: 4, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults, Shards: 1}, jobs)
-		if !reflect.DeepEqual(legacy, one) {
-			t.Fatalf("%s: Shards=1 diverges from legacy dispatcher:\nlegacy  %+v\nsharded %+v", tc.name, legacy, one)
-		}
-		// Shards above Nodes clamps; on a single node that lands back on the
-		// legacy path.
-		soloLegacy := runCfg(t, Config{Nodes: 1, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults}, jobs)
-		soloClamped := runCfg(t, Config{Nodes: 1, Platform: p, NewCtl: staticFactory(7), Faults: tc.faults, Shards: 8}, jobs)
-		if !reflect.DeepEqual(soloLegacy, soloClamped) {
-			t.Fatalf("%s: clamped Shards=8/Nodes=1 diverges from legacy", tc.name)
-		}
-	}
+	return jobs
 }
 
 // TestShardedDeterministicAcrossRuns pins reproducibility at every shard
@@ -55,9 +37,9 @@ func TestShardedOneShardMatchesLegacy(t *testing.T) {
 // despite shards dispatching concurrently.
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	p := hw.TX2()
-	jobs := RandomJobs(32, 200*time.Millisecond, 13)
+	jobs := roundJobs(40*time.Millisecond, 13)
 	for _, faults := range []hw.FaultConfig{{}, crashyFaults(5)} {
-		for _, shards := range []int{2, 4, 8} {
+		for _, shards := range []int{1, 2, 4, 8} {
 			type capture struct {
 				res     Result
 				trace   []byte
@@ -68,8 +50,7 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 				o := obs.New()
 				cfg := Config{
 					Nodes: 8, Platform: p, NewCtl: staticFactory(7),
-					Faults: faults, Obs: o,
-					Shards: shards, AdmitBatch: 4, StealSeed: 3,
+					Faults: faults, Obs: o, Shards: shards,
 				}
 				res := runCfg(t, cfg, jobs)
 				var trace, metrics, prom bytes.Buffer
@@ -107,7 +88,7 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 // obs counters sum to the fleet totals.
 func TestShardedConservesJobsAndImages(t *testing.T) {
 	p := hw.TX2()
-	jobs := RandomJobs(24, 300*time.Millisecond, 17)
+	jobs := roundJobs(40*time.Millisecond, 17)
 	wantImages := 0
 	for _, j := range jobs {
 		wantImages += j.Images
@@ -116,7 +97,7 @@ func TestShardedConservesJobsAndImages(t *testing.T) {
 		o := obs.New()
 		cfg := Config{
 			Nodes: 8, Platform: p, NewCtl: staticFactory(7), Obs: o,
-			Shards: shards, AdmitBatch: 4,
+			Shards: shards,
 		}
 		res := runCfg(t, cfg, jobs)
 		if res.TotalImages != wantImages {
@@ -133,25 +114,23 @@ func TestShardedConservesJobsAndImages(t *testing.T) {
 		if res.EE() <= 0 || res.Makespan <= 0 {
 			t.Fatalf("shards=%d: bad aggregates %+v", shards, res)
 		}
-		if shards > 1 {
-			// Per-shard completion counters must cover every completed job.
-			var shardJobs, completed float64
-			for _, fam := range o.Metrics.Snapshot() {
-				for _, s := range fam.Series {
-					switch fam.Name {
-					case "cloud_shard_jobs_total":
-						shardJobs += s.Value
-					case "cloud_jobs_total":
-						if len(s.LabelValues) == 1 && s.LabelValues[0] == "completed" {
-							completed += s.Value
-						}
+		// Per-shard completion counters must cover every completed job.
+		var shardJobs, completed float64
+		for _, fam := range o.Metrics.Snapshot() {
+			for _, s := range fam.Series {
+				switch fam.Name {
+				case "cloud_shard_jobs_total":
+					shardJobs += s.Value
+				case "cloud_jobs_total":
+					if len(s.LabelValues) == 1 && s.LabelValues[0] == "completed" {
+						completed += s.Value
 					}
 				}
 			}
-			if shardJobs != float64(totalJobs) || completed != float64(totalJobs) {
-				t.Fatalf("shards=%d: shard counters %v / completed %v, want %d",
-					shards, shardJobs, completed, totalJobs)
-			}
+		}
+		if shardJobs != float64(totalJobs) || completed != float64(totalJobs) {
+			t.Fatalf("shards=%d: shard counters %v / completed %v, want %d",
+				shards, shardJobs, completed, totalJobs)
 		}
 	}
 }
@@ -161,10 +140,10 @@ func TestShardedConservesJobsAndImages(t *testing.T) {
 // job-conservation invariant still holds.
 func TestShardedFaultyAccounting(t *testing.T) {
 	p := hw.TX2()
-	jobs := RandomJobs(28, 200*time.Millisecond, 13)
+	jobs := roundJobs(40*time.Millisecond, 13)
 	res := runCfg(t, Config{
 		Nodes: 6, Platform: p, NewCtl: staticFactory(7),
-		Faults: crashyFaults(5), Shards: 3, AdmitBatch: 4,
+		Faults: crashyFaults(5), Shards: 3,
 	}, jobs)
 	if res.NodesLost == 0 {
 		t.Fatalf("crash schedule lost no nodes: %+v", res)
@@ -184,21 +163,5 @@ func TestShardedFaultyAccounting(t *testing.T) {
 	}
 	if res.EE() <= 0 {
 		t.Fatalf("bad degraded EE: %+v", res)
-	}
-}
-
-// TestShardedStealSeedIsDeterministicKnob pins that StealSeed is part of the
-// reproducibility contract: the same seed reproduces the run exactly.
-func TestShardedStealSeedIsDeterministicKnob(t *testing.T) {
-	p := hw.TX2()
-	jobs := RandomJobs(32, 150*time.Millisecond, 19)
-	cfg := Config{
-		Nodes: 8, Platform: p, NewCtl: staticFactory(7),
-		Shards: 4, AdmitBatch: 4, StealSeed: 42,
-	}
-	a := runCfg(t, cfg, jobs)
-	b := runCfg(t, cfg, jobs)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same StealSeed must reproduce the run exactly")
 	}
 }

@@ -44,12 +44,12 @@ func ledgerBytes(t *testing.T, l *ledger.Ledger) []byte {
 // regardless of which nodes the work-stealing dispatcher landed each job on.
 func TestShardedLedgerByteIdentical(t *testing.T) {
 	p := hw.TX2()
-	jobs := RandomJobs(32, 200*time.Millisecond, 13)
+	jobs := roundJobs(40*time.Millisecond, 13)
 	run := func(shards int) ([]byte, Result) {
 		l := ledger.New()
 		cfg := Config{
 			Nodes: 8, Platform: p, NewCtl: staticFactory(7),
-			Ledger: l, Shards: shards, AdmitBatch: 4, StealSeed: 3,
+			Ledger: l, Shards: shards,
 		}
 		res := runCfg(t, cfg, jobs)
 		return ledgerBytes(t, l), res
@@ -74,7 +74,7 @@ func TestShardedLedgerByteIdentical(t *testing.T) {
 	for _, shards := range []int{2, 4, 8} {
 		got, res := run(shards)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d: ledger export differs from single-queue baseline", shards)
+			t.Fatalf("shards=%d: ledger export differs from one-shard baseline", shards)
 		}
 		if res.Passes != res1.Passes || res.QoSViolations != res1.QoSViolations {
 			t.Fatalf("shards=%d: QoS accounting differs: %d/%d vs %d/%d", shards,
@@ -89,14 +89,13 @@ func TestShardedLedgerByteIdentical(t *testing.T) {
 // concurrently and the dispatcher stealing work between shards.
 func TestShardedLedgerDeterministicWithPlans(t *testing.T) {
 	p := hw.TX2()
-	jobs := RandomJobs(24, 300*time.Millisecond, 17)
+	jobs := roundJobs(40*time.Millisecond, 17)
 	for _, shards := range []int{1, 2, 4} {
 		run := func() []byte {
 			l := ledger.New()
 			cfg := Config{
 				Nodes: 6, Platform: p, NewCtl: planFactory(),
-				Faults: crashyFaults(5), Ledger: l,
-				Shards: shards, AdmitBatch: 4, StealSeed: 3,
+				Faults: crashyFaults(5), Ledger: l, Shards: shards,
 			}
 			runCfg(t, cfg, jobs)
 			return ledgerBytes(t, l)

@@ -31,11 +31,11 @@ func multiPlanFactory() ControllerFactory {
 
 // TestClusterMacroMatchesMicro pins the fleet-level bit-identity contract:
 // a cluster run with a shared summary cache must DeepEqual the micro-stepped
-// reference (TraceOff) and export byte-identical ledgers, on both the
-// single-queue and the sharded work-stealing dispatcher.
+// reference (TraceOff) and export byte-identical ledgers, with one shard and
+// with several.
 func TestClusterMacroMatchesMicro(t *testing.T) {
 	p := hw.TX2()
-	jobs := RandomJobs(24, 200*time.Millisecond, 13)
+	jobs := roundJobs(40*time.Millisecond, 13)
 	for _, tc := range []struct {
 		name   string
 		shards int
@@ -43,7 +43,7 @@ func TestClusterMacroMatchesMicro(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := Config{
 				Nodes: 4, Platform: p, NewCtl: multiPlanFactory(),
-				Shards: tc.shards, AdmitBatch: 4, StealSeed: 3,
+				Shards: tc.shards,
 			}
 
 			micro := base
@@ -148,15 +148,12 @@ func TestServiceCacheKeyedOnGraphDigest(t *testing.T) {
 	}
 	res := runCfg(t, Config{Nodes: 1, Platform: p, NewCtl: staticFactory(7)}, jobs)
 	if want := tSmall + tBig; res.Makespan != want {
-		t.Fatalf("single-queue makespan %v, want %v (service cache aliased same-name graphs?)", res.Makespan, want)
+		t.Fatalf("one-node makespan %v, want %v (service cache aliased same-name graphs?)", res.Makespan, want)
 	}
 
 	// Sharded: one job per shard/node; the makespan is the slower job's true
 	// service time, not the first-cached one's.
-	res = runCfg(t, Config{
-		Nodes: 2, Platform: p, NewCtl: staticFactory(7),
-		Shards: 2, AdmitBatch: 4, StealSeed: 3,
-	}, jobs)
+	res = runCfg(t, Config{Nodes: 2, Platform: p, NewCtl: staticFactory(7), Shards: 2}, jobs)
 	if res.Makespan != tBig {
 		t.Fatalf("sharded makespan %v, want %v (fill phase aliased same-name graphs?)", res.Makespan, tBig)
 	}
