@@ -13,8 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"powerlens/internal/governor"
 	"powerlens/internal/hw"
+	"powerlens/internal/models"
 	"powerlens/internal/obs"
+	"powerlens/internal/obs/ledger"
+	"powerlens/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite the dispatcher golden files")
@@ -172,4 +176,82 @@ func readGoldens(t *testing.T, dir, name string, files map[string][]byte) map[st
 		golden[ext] = b
 	}
 	return golden
+}
+
+// ledgerGoldenCases are the attribution-carrying fleets: a reactive governor
+// that micro-steps every op (TraceOff, no macro cache), and a multi-block
+// MultiPlan fleet that macro-steps, so cells span blocks above 0 and reach
+// the ledger both from micro-stepped and fast-forwarded passes.
+var ledgerGoldenCases = []struct {
+	name   string
+	newCtl ControllerFactory
+	macro  bool
+}{
+	{"ledger-ondemand", func() sim.Controller { return governor.NewOndemand() }, false},
+	{"ledger-multiplan", func() sim.Controller {
+		plans := map[string]*governor.FrequencyPlan{}
+		for _, name := range models.Names() {
+			plans[name] = &governor.FrequencyPlan{
+				Model:  name,
+				Points: map[int]int{0: 5, 4: 9, 9: 3},
+			}
+		}
+		return governor.NewMultiPlan(plans)
+	}, true},
+}
+
+// TestDispatchLedgerGoldens pins the fleet's attribution ledger against
+// goldens in testdata/dispatch: the Result JSON, the ledger's WriteJSON
+// bytes and its Prometheus export (ExportTo into a fresh registry) for a
+// 100-job, two-shard fleet on 8 nodes. Re-record (-update) only for a
+// deliberate behaviour change, and say so in CHANGES.md.
+func TestDispatchLedgerGoldens(t *testing.T) {
+	p := hw.TX2()
+	jobs := roundJobs(40*time.Millisecond, 29)
+	dir := filepath.Join("testdata", "dispatch")
+	for _, tc := range ledgerGoldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := ledger.New()
+			cfg := Config{
+				Nodes: 8, Platform: p, NewCtl: tc.newCtl,
+				Ledger: l, Shards: 2, TraceOff: true,
+			}
+			if tc.macro {
+				cfg.Macro = sim.NewSummaryCache()
+			}
+			res := runCfg(t, cfg, jobs)
+			resJSON, err := json.MarshalIndent(res, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			l.ExportTo(reg)
+			var prom bytes.Buffer
+			if err := reg.WritePrometheus(&prom); err != nil {
+				t.Fatal(err)
+			}
+			files := map[string][]byte{
+				".result.json": resJSON,
+				".ledger.json": ledgerBytes(t, l),
+				".ledger.prom": prom.Bytes(),
+			}
+			if *update {
+				writeGoldens(t, dir, tc.name, files)
+				return
+			}
+			golden := readGoldens(t, dir, tc.name, files)
+			var want Result
+			if err := json.Unmarshal(golden[".result.json"], &want); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, res) {
+				t.Fatalf("Result diverges from golden:\nwant %+v\ngot  %+v", want, res)
+			}
+			for _, ext := range []string{".ledger.json", ".ledger.prom"} {
+				if !bytes.Equal(golden[ext], files[ext]) {
+					t.Fatalf("%s diverges from golden:\nwant\n%s\ngot\n%s", ext, golden[ext], files[ext])
+				}
+			}
+		})
+	}
 }

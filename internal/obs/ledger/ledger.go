@@ -1,14 +1,14 @@
 // Package ledger implements the energy/latency attribution ledger: it answers
 // "where did the joules go" at (model digest, power block, DVFS level)
 // granularity, and "what did latency look like" per model, from events the
-// sim executor's step loop emits.
+// sim executor emits: aggregated layer segments once per task (AddSegments)
+// and one record per inference pass (RecordPass).
 //
 // Design constraints, inherited from the obs layer:
 //
-//   - Nil-safe: a nil *Ledger accepts every call and does nothing, so the
-//     executor pays one pointer check per layer when attribution is off.
-//   - Zero steady-state allocations: RecordSegment on an existing
-//     (digest, block, level) cell touches no heap.
+//   - Nil-safe: a nil *Ledger accepts every call and does nothing.
+//   - Zero steady-state allocations: RecordSegment and AddSegments on an
+//     existing (digest, block, level) cell touch no heap.
 //   - Deterministic merge: all mergeable state is integral — event counts,
 //     time.Duration busy time, energy quantized to nanojoules at record time,
 //     and sketch bucket counts — so Merge is associative and commutative.
@@ -68,10 +68,12 @@ func toNJ(energyJ float64) uint64 {
 	return uint64(energyJ*1e9 + 0.5)
 }
 
-// Ledger accumulates attribution cells. Safe for concurrent use; the intended
-// high-throughput path is one private ledger per node/worker merged at the
-// end, with the mutex only there to make stray concurrent use safe rather
-// than fast.
+// Ledger accumulates attribution cells. Safe for concurrent use; the mutex
+// makes stray concurrent use safe rather than fast. The high-throughput path
+// keeps both the lock and the cell lookup off per-event work: callers
+// aggregate segment events themselves (per-event Quantize, integral sums)
+// and apply them through AddSegments, and fleets give each node or worker a
+// private ledger merged at the end.
 type Ledger struct {
 	mu     sync.Mutex
 	cells  map[Key]*cell
@@ -112,7 +114,7 @@ func Quantize(energyJ float64) uint64 { return toNJ(energyJ) }
 // in one call: ops executions totalling busy GPU time and energyNJ
 // nanojoules (per-event quantized; see Quantize). Because cell state is
 // integral, this is exactly equivalent to ops individual RecordSegment
-// calls — the macro-stepping executor applies whole-pass deltas through it.
+// calls — the sim executor applies each task's staged cells through it.
 func (l *Ledger) AddSegments(k Key, name string, ops uint64, busy time.Duration, energyNJ uint64) {
 	if l == nil || ops == 0 {
 		return

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"powerlens/internal/graph"
@@ -185,10 +186,11 @@ type Executor struct {
 	// keeps the exact uninstrumented code path; observation never feeds back
 	// into the simulation, so results are identical either way.
 	Obs *obs.Observer
-	// Ledger, when non-nil, receives energy/latency attribution events from
-	// the step loop: one segment per executed layer keyed on (model digest,
-	// power block, DVFS level) and one pass record per inference pass. Like
-	// Obs, it never feeds back into the simulation (see attrib.go).
+	// Ledger, when non-nil, receives energy/latency attribution: every
+	// executed layer is attributed to its (model digest, power block, DVFS
+	// level) cell, staged per task and applied when the task ends, and each
+	// inference pass is recorded as it completes. Like Obs, it never feeds
+	// back into the simulation (see attrib.go).
 	Ledger *ledger.Ledger
 	// SLO, when non-nil, receives per-pass SLO events (latency degradation
 	// vs the max-frequency reference, energy, violations) on the simulated
@@ -222,16 +224,21 @@ type Executor struct {
 
 	sensor *hw.PowerSensor
 
-	// Per-pass op cost scratch: layer FLOPs/bytes at the current batch size
-	// are batch-invariant across passes, so they are computed once per
-	// (graph, batch) instead of per image. The rebuild also derives the
-	// attribution constants for the graph: its canonical digest and the
-	// max-frequency GPU reference time one pass takes (the QoS baseline).
-	costGraph  *graph.Graph
-	costBatch  int
-	costs      []opWork
-	costRef    time.Duration
-	costDigest uint64
+	// Per-pass op cost scratch, rebuilt only when (graph, batch) changes:
+	// layer FLOPs/bytes at the batch size, and per-level cost rows (rows[lvl]
+	// is filled, and its storage grown, when a pass first runs at lvl; see
+	// costRow).
+	// The rebuild also derives the max-frequency GPU reference time one pass
+	// takes (the QoS baseline).
+	costGraph *graph.Graph
+	costBatch int
+	costs     []opWork
+	rows      [][]opCost
+	costRef   time.Duration
+
+	// staged holds the current task's ledger cell deltas, keyed (block,
+	// level); runImages flushes them into Ledger when the task ends.
+	staged []cellDelta
 
 	// Attribution state (see attrib.go). passes/qosViolations are tracked on
 	// every run; the level slices only when attrib is set.
@@ -338,6 +345,7 @@ func (e *Executor) advance(d time.Duration, powerW float64, gpuBusy, cpuBusy boo
 		if step > room {
 			step = room
 		}
+		sec := step.Seconds()
 		f := e.Platform.GPUFreqsHz[e.gpuLevel]
 		e.sensor.Advance(step, powerW, f)
 		if e.thermal != nil {
@@ -346,14 +354,14 @@ func (e *Executor) advance(d time.Duration, powerW float64, gpuBusy, cpuBusy boo
 		e.winElapsed += step
 		if gpuBusy {
 			e.winGPUBusy += step
-			e.winCompute += computeUt * step.Seconds()
+			e.winCompute += computeUt * sec
 		}
 		if cpuBusy {
 			e.winCPUBusy += step
 		}
-		e.winEnergy += powerW * step.Seconds()
+		e.winEnergy += powerW * sec
 		if e.attrib {
-			e.levelEnergy[e.gpuLevel] += powerW * step.Seconds()
+			e.levelEnergy[e.gpuLevel] += powerW * sec
 			e.levelTime[e.gpuLevel] += step
 		}
 		d -= step
@@ -593,6 +601,8 @@ func (e *Executor) runImage(g *graph.Graph) {
 	passStart := e.sensor.Now()
 	passEnergy := e.sensor.EnergyJ()
 	var gpuBusy time.Duration
+	var row []opCost
+	rowLevel := -1
 	for i := range costs {
 		w := &costs[i]
 		e.Ctl.BeforeLayer(g, w.id)
@@ -600,27 +610,24 @@ func (e *Executor) runImage(g *graph.Graph) {
 		if w.skip {
 			continue
 		}
-		f := p.GPUFreqsHz[e.gpuLevel]
-		c := p.GPUOpCost(w.flops, w.bytes, f)
-		gpuBusy += c.Time
-		if e.Ledger != nil {
-			e.recordSegment(g, w.id, c.Time, c.PowerW*c.Time.Seconds())
+		if e.gpuLevel != rowLevel {
+			row, rowLevel = e.costRow(e.gpuLevel), e.gpuLevel
 		}
-		if e.rec != nil {
-			// Cell deltas are recorded whether or not this executor carries a
-			// ledger — the summary may later replay on one that does.
-			e.rec.noteSeg(g, w.id, c.Time, c.PowerW*c.Time.Seconds(), e.gpuLevel)
+		c := &row[i]
+		gpuBusy += c.time
+		if e.Ledger != nil || e.rec != nil {
+			e.noteCell(g, w.id, c)
 		}
-		overlap := c.Time
+		overlap := c.time
 		if overlap > cpuRemaining {
 			overlap = cpuRemaining
 		}
 		if overlap > 0 {
-			e.advance(overlap, c.PowerW+cpuPower, true, true, c.ComputeUt)
+			e.advance(overlap, c.powerW+cpuPower, true, true, c.computeUt)
 			cpuRemaining -= overlap
 		}
-		if rest := c.Time - overlap; rest > 0 {
-			e.advance(rest, c.PowerW, true, false, c.ComputeUt)
+		if rest := c.time - overlap; rest > 0 {
+			e.advance(rest, c.powerW, true, false, c.computeUt)
 		}
 	}
 	// Host-bound tail: the GPU waits for pre-processing to finish.
@@ -629,45 +636,94 @@ func (e *Executor) runImage(g *graph.Graph) {
 		e.advance(cpuRemaining, gpuIdleW+cpuPower, false, true, 0)
 	}
 	e.images += batch
-	e.finishPass(g, passStart, passEnergy, gpuBusy)
+	e.finishPass(g, e.costRef, passStart, passEnergy, gpuBusy)
 	if e.rec != nil {
 		e.finishRecording(batch, gpuBusy)
 	}
 }
 
-// opWork is one layer's precomputed pass cost: batched FLOPs and memory
-// traffic, plus the ID handed to the controller hook.
+// opWork is one layer's batched pass work: FLOPs and memory traffic, plus
+// the ID handed to the controller hook.
 type opWork struct {
 	id           int
 	flops, bytes int64
 	skip         bool // OpInput — hook fires, no GPU work
 }
 
-// opCosts returns the per-layer cost buffer for (g, batch), rebuilding it
+// opCost is one layer's pass cost at one ladder level: the GPUOpCost fields
+// the step loop reads, and the energy of that one execution in the ledger's
+// nanojoules (quantized per event, exactly as the ledger would).
+type opCost struct {
+	time      time.Duration
+	powerW    float64
+	computeUt float64
+	nj        uint64
+}
+
+// opCosts returns the per-layer work buffer for (g, batch), rebuilding it
 // only when either changes. BatchCost is pure, so the precomputed values are
-// exactly what the per-layer loop used to recompute every pass. The rebuild
-// also derives the graph's canonical digest (the attribution key) and the
-// max-frequency GPU reference pass time (the QoS violation baseline) — both
-// pure functions of (graph, batch, platform), so caching them alongside the
-// costs keeps the warm path allocation-free.
+// exactly what the per-layer loop would recompute every pass. The rebuild
+// invalidates every cost row, reusing their storage, and derives the
+// max-frequency GPU reference pass time (the QoS violation baseline) from the
+// top row — all pure functions of (graph, batch, platform), so caching them
+// keeps the warm path allocation-free.
 func (e *Executor) opCosts(g *graph.Graph, batch int) []opWork {
 	if e.costGraph == g && e.costBatch == batch {
 		return e.costs
 	}
-	fmax := e.Platform.MaxGPUFreq()
-	ref := time.Duration(0)
 	costs := e.costs[:0]
 	for _, l := range g.Layers {
 		w := opWork{id: l.ID, skip: l.Kind == graph.OpInput}
 		if !w.skip {
 			w.flops, w.bytes = l.BatchCost(batch)
-			ref += e.Platform.GPUOpCost(w.flops, w.bytes, fmax).Time
 		}
 		costs = append(costs, w)
 	}
+	levels := e.Platform.NumGPULevels()
+	if len(e.rows) != levels {
+		e.rows = make([][]opCost, levels)
+	}
+	for lvl := range e.rows {
+		e.rows[lvl] = e.rows[lvl][:0]
+	}
 	e.costs, e.costGraph, e.costBatch = costs, g, batch
-	e.costRef, e.costDigest = ref, graph.Digest(g)
+	ref := time.Duration(0)
+	for _, c := range e.costRow(levels - 1) {
+		ref += c.time
+	}
+	e.costRef = ref
 	return costs
+}
+
+// costRow returns every layer's cost at ladder level lvl for the current
+// (graph, batch), filling the row the first time a pass runs at lvl (a
+// rebuild empties every row). The executor only ever runs ladder
+// frequencies, so the row holds exactly the GPUOpCost results the step loop
+// would otherwise compute per op per pass. OpInput entries stay zero.
+func (e *Executor) costRow(lvl int) []opCost {
+	n := len(e.costs)
+	row := e.rows[lvl]
+	if len(row) == n {
+		return row
+	}
+	row = slices.Grow(row, n)[:n]
+	f := e.Platform.GPUFreqsHz[lvl]
+	for i := range e.costs {
+		w := &e.costs[i]
+		if w.skip {
+			row[i] = opCost{}
+			continue
+		}
+		c := e.Platform.GPUOpCost(w.flops, w.bytes, f)
+		row[i] = opCost{
+			time:      c.Time,
+			powerW:    c.PowerW,
+			computeUt: c.ComputeUt,
+			nj:        ledger.Quantize(c.PowerW * c.Time.Seconds()),
+		}
+	}
+	e.rows[lvl] = row
+	return row
 }
 
 func clampCPU(p *hw.Platform, level int) int {
@@ -704,6 +760,7 @@ func (e *Executor) runImages(g *graph.Graph, images int) {
 		}
 		e.runImage(g)
 	}
+	e.flushCells(g)
 }
 
 // RunTaskFlow simulates a task flow (§3.2.2): tasks back to back with an

@@ -24,7 +24,6 @@ import (
 
 	"powerlens/internal/graph"
 	"powerlens/internal/hw"
-	"powerlens/internal/obs/ledger"
 )
 
 // MacroSteppable is implemented by controllers whose passes the executor may
@@ -101,6 +100,7 @@ type FlowSummary struct {
 	switches   int           // DVFS switches paid during the pass
 	images     int           // images per pass (the batch size)
 	lastPowerW float64       // rail power over the final event (sensor carry)
+	ref        time.Duration // max-frequency GPU reference of the pass (QoS baseline)
 	events     []macroEvent
 	cells      []cellDelta
 }
@@ -205,7 +205,6 @@ type macroRecorder struct {
 	key        summaryKey
 	events     []macroEvent
 	cells      []cellDelta
-	blocks     BlockResolver // pass-level block mapping (plan-dependent, nil ok)
 	startNow   time.Duration
 	switches0  int
 	cpuBusy    time.Duration
@@ -228,28 +227,6 @@ func (r *macroRecorder) note(d time.Duration, powerW, computeUt float64, level i
 		r.cpuBusy += d
 	}
 	r.lastPowerW = powerW
-}
-
-// noteSeg aggregates one executed layer into the pass's cell deltas,
-// quantizing energy per event exactly as ledger.RecordSegment would.
-func (r *macroRecorder) noteSeg(g *graph.Graph, layerID int, busy time.Duration, energyJ float64, level int) {
-	block := 0
-	if r.blocks != nil {
-		block = r.blocks.BlockIndex(g, layerID)
-	}
-	b, l := int32(block), int32(level)
-	for i := range r.cells {
-		c := &r.cells[i]
-		if c.block == b && c.level == l {
-			c.ops++
-			c.busy += busy
-			c.energyNJ += ledger.Quantize(energyJ)
-			return
-		}
-	}
-	r.cells = append(r.cells, cellDelta{
-		block: b, level: l, ops: 1, busy: busy, energyNJ: ledger.Quantize(energyJ),
-	})
 }
 
 // macroReset derives the run's macro/window modes from the attached sinks.
@@ -278,15 +255,16 @@ func (e *Executor) macroReset() {
 // fastForward applies one whole pass analytically if an exact summary is
 // cached for the executor's current state. On a miss it claims the key and
 // records the micro-stepped pass that follows. Returns false to micro-step.
+// A hit never touches the op-cost buffer: the summary carries the pass's QoS
+// reference, so a task whose passes all hit costs no rebuild.
 func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 	digest, ok := e.macroCtl.MacroPlanDigest(g)
 	if !ok {
 		return false // non-nominal controller state (e.g. guard on fallback)
 	}
-	e.opCosts(g, batch) // ensure costDigest (key) and costRef (QoS baseline)
 	k := summaryKey{
 		platform: e.Platform,
-		graph:    e.costDigest,
+		graph:    graph.Digest(g),
 		plan:     digest,
 		batch:    batch,
 		entryGPU: e.gpuLevel,
@@ -295,10 +273,8 @@ func (e *Executor) fastForward(g *graph.Graph, batch int) bool {
 	s := e.Summaries.lookup(k)
 	if s == nil {
 		if e.Summaries.beginFill(k) {
-			br, _ := e.Ctl.(BlockResolver)
 			e.rec = &macroRecorder{
 				key:       k,
-				blocks:    br,
 				startNow:  e.sensor.Now(),
 				switches0: e.switches,
 			}
@@ -335,6 +311,7 @@ func (e *Executor) finishRecording(batch int, gpuBusy time.Duration) {
 		switches:   e.switches - r.switches0,
 		images:     batch,
 		lastPowerW: r.lastPowerW,
+		ref:        e.costRef,
 		events:     r.events,
 		cells:      r.cells,
 	})
@@ -377,11 +354,8 @@ func (e *Executor) applySummary(g *graph.Graph, s *FlowSummary) {
 	e.sensor.FastForward(s.wall, en, s.lastPowerW, e.Platform.GPUFreqsHz[s.exitGPU])
 
 	if e.Ledger != nil {
-		for i := range s.cells {
-			c := &s.cells[i]
-			e.Ledger.AddSegments(
-				ledger.Key{Model: e.costDigest, Block: c.block, Level: c.level},
-				g.Name, c.ops, c.busy, c.energyNJ)
+		for _, c := range s.cells {
+			addCell(&e.staged, c.block, c.level, c.ops, c.busy, c.energyNJ)
 		}
 	}
 
@@ -390,5 +364,5 @@ func (e *Executor) applySummary(g *graph.Graph, s *FlowSummary) {
 	e.switches += s.switches
 	e.images += s.images
 	e.macroCtl.MacroAdvancePass(g, s.exitGPU)
-	e.finishPass(g, passStart, passEnergy, s.gpuBusy)
+	e.finishPass(g, s.ref, passStart, passEnergy, s.gpuBusy)
 }
