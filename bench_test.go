@@ -227,17 +227,18 @@ func BenchmarkAblationPerfWeight(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Inline θ-sweep (sim.PerfWeight is the framework default;
 				// the ablation recomputes scores explicitly).
+				ct := sim.NewCostTable(p, g)
 				best := 0
 				bestScore := math.Inf(1)
-				for lvl, f := range p.GPUFreqsHz {
-					t, e := sim.SegmentCost(p, g, 0, n, f)
+				for lvl := range p.GPUFreqsHz {
+					t, e := ct.SegmentCost(0, n, lvl)
 					score := e * math.Pow(t.Seconds(), theta)
 					if score < bestScore {
 						best, bestScore = lvl, score
 					}
 				}
-				tOpt, eOpt := sim.SegmentCost(p, g, 0, n, p.GPUFreqsHz[best])
-				tMax, _ := sim.SegmentCost(p, g, 0, n, p.MaxGPUFreq())
+				tOpt, eOpt := ct.SegmentCost(0, n, best)
+				tMax, _ := ct.SegmentCost(0, n, p.NumGPULevels()-1)
 				ee = 1 / eOpt
 				slowdown = tOpt.Seconds() / tMax.Seconds()
 			}
@@ -325,7 +326,7 @@ func BenchmarkOracleSweep(b *testing.B) {
 	g := models.MustBuild("resnet152")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.OptimalSegmentLevel(p, g, 0, len(g.Layers)-1)
+		sim.NewCostTable(p, g).OptimalSegmentLevel(0, len(g.Layers)-1)
 	}
 }
 
@@ -504,7 +505,7 @@ func BenchmarkAblationFusion(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var ee float64
 			for i := 0; i < b.N; i++ {
-				lvl, es := sim.OptimalSegmentLevel(p, tc.g, 0, len(tc.g.Layers)-1)
+				lvl, es := sim.NewCostTable(p, tc.g).OptimalSegmentLevel(0, len(tc.g.Layers)-1)
 				ee = 1 / es[lvl]
 			}
 			b.ReportMetric(ee, "EE_img/J")

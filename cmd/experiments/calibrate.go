@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"powerlens/internal/cluster"
 	"powerlens/internal/hw"
@@ -16,21 +17,23 @@ import (
 	"powerlens/internal/sim"
 )
 
-var verbose = false
-
-func runCalibrate() {
+// runCalibrate writes the report to w; verbose adds each model's per-block
+// oracle levels and energies.
+func runCalibrate(w io.Writer, verbose bool) {
 	for _, p := range hw.Platforms() {
-		fmt.Printf("=== %s ===\n", p.Name)
+		fmt.Fprintf(w, "=== %s ===\n", p.Name)
+		top := p.NumGPULevels() - 1
 		for _, name := range models.Names() {
 			g := models.MustBuild(name)
+			ct := sim.NewCostTable(p, g)
 			n := len(g.Layers) - 1
 
 			// Whole-network static sweep.
-			bestLvl, energies := sim.OptimalSegmentLevel(p, g, 0, n)
-			eMax := energies[p.NumGPULevels()-1]
+			bestLvl, energies := ct.OptimalSegmentLevel(0, n)
+			eMax := energies[top]
 			eOpt := energies[bestLvl]
-			tOpt, _ := sim.SegmentCost(p, g, 0, n, p.GPUFreqsHz[bestLvl])
-			tMax, _ := sim.SegmentCost(p, g, 0, n, p.MaxGPUFreq())
+			tOpt, _ := ct.SegmentCost(0, n, bestLvl)
+			tMax, _ := ct.SegmentCost(0, n, top)
 
 			// Per-block oracle using a default clustering.
 			a, l := cluster.DefaultDistanceParams()
@@ -43,18 +46,18 @@ func runCalibrate() {
 				nBlocks = pv.NumBlocks()
 				detail := ""
 				for _, b := range pv.Blocks {
-					lvl, es := sim.OptimalSegmentLevel(p, g, b.StartLayer, b.EndLayer)
+					lvl, es := ct.OptimalSegmentLevel(b.StartLayer, b.EndLayer)
 					eBlocks += es[lvl]
-					bt, _ := sim.SegmentCost(p, g, b.StartLayer, b.EndLayer, p.GPUFreqsHz[lvl])
+					bt, _ := ct.SegmentCost(b.StartLayer, b.EndLayer, lvl)
 					tBlocks += bt.Seconds()
 					detail += fmt.Sprintf(" [%d-%d lvl=%d E=%.3f]", b.StartLayer, b.EndLayer, lvl, es[lvl])
 				}
 				if verbose {
-					fmt.Printf("  blocks:%s\n", detail)
+					fmt.Fprintf(w, "  blocks:%s\n", detail)
 				}
 			}
-			fmt.Printf("%-15s optLvl=%2d/%d  E(fmax)/E(opt)=%.3f  t(opt)/t(fmax)=%.2f  blocks=%d  E(opt)/E(blocks)=%.3f  t(blocks)/t(fmax)=%.2f\n",
-				name, bestLvl, p.NumGPULevels()-1, eMax/eOpt,
+			fmt.Fprintf(w, "%-15s optLvl=%2d/%d  E(fmax)/E(opt)=%.3f  t(opt)/t(fmax)=%.2f  blocks=%d  E(opt)/E(blocks)=%.3f  t(blocks)/t(fmax)=%.2f\n",
+				name, bestLvl, top, eMax/eOpt,
 				tOpt.Seconds()/tMax.Seconds(), nBlocks, eOpt/eBlocks,
 				tBlocks/tMax.Seconds())
 		}

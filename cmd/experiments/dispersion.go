@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"powerlens/internal/graph"
 	"powerlens/internal/hw"
@@ -15,11 +16,14 @@ import (
 	"powerlens/internal/sim"
 )
 
-func runDispersion() {
+// runDispersion writes the report to w.
+func runDispersion(w io.Writer) {
 	for _, p := range hw.Platforms() {
-		fmt.Printf("=== %s ===\n", p.Name)
+		fmt.Fprintf(w, "=== %s ===\n", p.Name)
+		top := p.NumGPULevels() - 1
 		for _, name := range models.Names() {
 			g := models.MustBuild(name)
+			ct := sim.NewCostTable(p, g)
 			bounds := []int{0}
 			prevH := g.Layers[0].OutShape.H
 			for _, l := range g.Layers {
@@ -29,7 +33,7 @@ func runDispersion() {
 				}
 			}
 			bounds = append(bounds, len(g.Layers))
-			fmt.Printf("%s:\n", name)
+			fmt.Fprintf(w, "%s:\n", name)
 			var totalE float64
 			type seg struct {
 				s, e, lvl int
@@ -42,14 +46,14 @@ func runDispersion() {
 				if e < s {
 					continue
 				}
-				lvl, es := sim.OptimalSegmentLevel(p, g, s, e)
+				lvl, es := ct.OptimalSegmentLevel(s, e)
 				var memT, totT float64
 				for id := s; id <= e; id++ {
 					l := g.Layers[id]
 					if l.Kind == graph.OpInput {
 						continue
 					}
-					c := p.GPUOpCost(l.FLOPs(), l.MemBytes(), p.MaxGPUFreq())
+					c := ct.OpCost(id, top)
 					totT += c.Time.Seconds()
 					memT += c.Time.Seconds() * (1 - c.ComputeUt)
 				}
@@ -61,7 +65,7 @@ func runDispersion() {
 				totalE += es[lvl]
 			}
 			for _, sg := range segs {
-				fmt.Printf("  [%4d-%4d] lvl=%2d Eshare=%4.1f%% memshare=%.2f\n",
+				fmt.Fprintf(w, "  [%4d-%4d] lvl=%2d Eshare=%4.1f%% memshare=%.2f\n",
 					sg.s, sg.e, sg.lvl, 100*sg.energy/totalE, sg.memShare)
 			}
 		}

@@ -84,12 +84,11 @@ func main() {
 	case "switch":
 		runSwitch()
 	case "calibrate":
-		runCalibrate()
+		runCalibrate(os.Stdout, false)
 	case "calibrate-v":
-		verbose = true
-		runCalibrate()
+		runCalibrate(os.Stdout, true)
 	case "dispersion":
-		runDispersion()
+		runDispersion(os.Stdout)
 	default:
 		usage()
 	}

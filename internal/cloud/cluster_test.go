@@ -93,7 +93,7 @@ func TestClusterPowerLensBeatsOndemand(t *testing.T) {
 	plans := map[string]*governor.FrequencyPlan{}
 	for _, name := range models.Names() {
 		g := models.MustBuild(name)
-		lvl, _ := sim.OptimalSegmentLevel(p, g, 0, len(g.Layers)-1)
+		lvl, _ := sim.NewCostTable(p, g).OptimalSegmentLevel(0, len(g.Layers)-1)
 		plans[g.Name] = &governor.FrequencyPlan{Model: g.Name, Points: map[int]int{0: lvl}}
 	}
 	pl, err := Run(Config{Nodes: 2, Platform: p, NewCtl: func() sim.Controller {

@@ -27,15 +27,15 @@ func DatasetBaseline(dsA *dataset.DatasetA) *audit.Baseline {
 // network's global feature vector goes to the drift monitor, and every block
 // of the final view (post-guard) gets a decision record with the chosen vs
 // runner-up level and the softmax margin between them. Sampled decisions
-// (every cfg.ProbeEvery-th per model) additionally re-run the oracle
-// frequency sweep via sim.CostTable and record agreement/regret.
+// (every cfg.ProbeEvery-th per model) additionally run the oracle frequency
+// sweep over ct, g's cost table, and record agreement/regret.
 //
 // Called under f.mu from analyzeUncached, so the nn forward passes here are
 // serialized like the rest of the pipeline. With the plan cache enabled,
 // cache hits skip the pipeline entirely and therefore emit nothing — audited
 // decision counts follow distinct analyses, not plan reuse (plan applications
 // are the governors' records; see internal/governor).
-func (f *Framework) auditAnalysis(g *graph.Graph, gl features.Global, a *Analysis) {
+func (f *Framework) auditAnalysis(ct *sim.CostTable, g *graph.Graph, gl features.Global, a *Analysis) {
 	rec := f.Audit
 	if rec == nil {
 		return
@@ -43,7 +43,6 @@ func (f *Framework) auditAnalysis(g *graph.Graph, gl features.Global, a *Analysi
 	digest := graph.Digest(g)
 	rec.DriftMonitor().Observe(gl.Vector())
 
-	var ct *sim.CostTable // built lazily: only probed analyses pay for a sweep
 	for i, b := range a.View.Blocks {
 		bg := features.ExtractBlockGlobal(g, b.StartLayer, b.EndLayer)
 		_, runner, margin := f.DecisionModel.PredictTop2(
@@ -54,9 +53,6 @@ func (f *Framework) auditAnalysis(g *graph.Graph, gl features.Global, a *Analysi
 			i, chosen, f.Platform.ClampGPULevel(runner), margin, bg.Vector())
 		if !probe {
 			continue
-		}
-		if ct == nil {
-			ct = sim.NewCostTable(f.Platform, g)
 		}
 		oracle, energies := ct.OptimalSegmentLevel(b.StartLayer, b.EndLayer)
 		regret := 0.0

@@ -300,11 +300,12 @@ func (f *Framework) analyzeUncached(g *graph.Graph) (*Analysis, error) {
 	a.Timings.Clustering = time.Since(t0)
 
 	t0 = time.Now()
+	ct := sim.NewCostTable(f.Platform, g)
 	f.decide(g, a)
-	f.guardPlan(g, a)
+	f.guardPlan(ct, g, a)
 	a.Timings.Decision = time.Since(t0)
 
-	f.auditAnalysis(g, gl, a)
+	f.auditAnalysis(ct, g, gl, a)
 	return a, nil
 }
 
@@ -316,12 +317,13 @@ func (f *Framework) analyzeUncached(g *graph.Graph) (*Analysis, error) {
 // bad per-block decision makes the plan materially worse, the fallback
 // ships instead. Ablation variants (AnalyzeWholeNetwork/AnalyzeRandomBlocks)
 // deliberately bypass the guard — they exist to measure raw behaviour.
-func (f *Framework) guardPlan(g *graph.Graph, a *Analysis) {
-	planE := f.estimatePlanEnergy(g, a.View, a.Levels)
+// ct is g's cost table on f.Platform.
+func (f *Framework) guardPlan(ct *sim.CostTable, g *graph.Graph, a *Analysis) {
+	planE := f.estimatePlanEnergy(ct, a.View, a.Levels)
 
 	fb := &Analysis{View: cluster.WholeNetworkView(g)}
 	f.decide(g, fb)
-	fbE := f.estimatePlanEnergy(g, fb.View, fb.Levels)
+	fbE := f.estimatePlanEnergy(ct, fb.View, fb.Levels)
 
 	if planE > fbE*1.01 {
 		a.View, a.Levels, a.Plan = fb.View, fb.Levels, fb.Plan
@@ -331,11 +333,11 @@ func (f *Framework) guardPlan(g *graph.Graph, a *Analysis) {
 // estimatePlanEnergy returns the analytic per-image energy of running each
 // block of view at its assigned level, plus DVFS switch costs at level
 // changes.
-func (f *Framework) estimatePlanEnergy(g *graph.Graph, view *cluster.PowerView, levels []int) float64 {
+func (f *Framework) estimatePlanEnergy(ct *sim.CostTable, view *cluster.PowerView, levels []int) float64 {
 	p := f.Platform
 	total := 0.0
 	for i, b := range view.Blocks {
-		_, e := sim.SegmentCost(p, g, b.StartLayer, b.EndLayer, p.GPUFreqsHz[levels[i]])
+		_, e := ct.SegmentCost(b.StartLayer, b.EndLayer, levels[i])
 		total += e
 	}
 	prev := levels[len(levels)-1]

@@ -39,11 +39,6 @@ type Config struct {
 	// Workers caps the generation worker pool (0 = GOMAXPROCS). Results are
 	// identical for any worker count.
 	Workers int
-
-	// disableCostCache forces the uncached oracle-sweep path; the
-	// byte-identity regression tests flip it to prove the segment-cost cache
-	// cannot move Dataset A/B outputs.
-	disableCostCache bool
 }
 
 // DefaultGrid returns the candidate (ε, minPts) grid: 4 radii × 2 densities
@@ -100,7 +95,7 @@ type netResult struct {
 func computeNet(p *hw.Platform, cfg Config, order []int, sc *cluster.Scratch, i int) netResult {
 	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
 	g := models.RandomDNN(rng, cfg.GenCfg, i)
-	bestCell, view, levels := bestClustering(p, g, cfg.Grid, order, !cfg.disableCostCache, sc)
+	bestCell, view, levels := bestClustering(p, g, cfg.Grid, order, sc)
 	if bestCell < 0 {
 		return netResult{}
 	}
@@ -183,15 +178,14 @@ func Generate(p *hw.Platform, cfg Config) (*DatasetA, *DatasetB) {
 // has no operators to cluster.
 func BestClustering(p *hw.Platform, g *graph.Graph, grid []cluster.Hyperparams) (bestCell int, view *cluster.PowerView, levels []int) {
 	var sc cluster.Scratch
-	return bestClustering(p, g, grid, canonicalOrder(grid), true, &sc)
+	return bestClustering(p, g, grid, canonicalOrder(grid), &sc)
 }
 
 // bestClustering is BestClustering's worker-pool form: the canonical
 // tie-break order is hoisted to the caller (it depends only on the grid),
 // clustering scratch is reused across cells and networks, and the oracle
-// sweep runs over a per-network segment-cost cache unless useCostCache is
-// off (the uncached path exists for the byte-identity regression tests).
-func bestClustering(p *hw.Platform, g *graph.Graph, grid []cluster.Hyperparams, order []int, useCostCache bool, sc *cluster.Scratch) (bestCell int, view *cluster.PowerView, levels []int) {
+// sweep of every cell runs over one per-network cost table.
+func bestClustering(p *hw.Platform, g *graph.Graph, grid []cluster.Hyperparams, order []int, sc *cluster.Scratch) (bestCell int, view *cluster.PowerView, levels []int) {
 	x, ids := features.ScaledDepthwise(g)
 	if x.Rows == 0 {
 		return -1, nil, nil
@@ -199,10 +193,7 @@ func bestClustering(p *hw.Platform, g *graph.Graph, grid []cluster.Hyperparams, 
 	alpha, lambda := grid[0].Alpha, grid[0].Lambda
 	d := cluster.BlendedDistance(x, alpha, lambda)
 
-	var ct *sim.CostTable
-	if useCostCache {
-		ct = sim.NewCostTable(p, g)
-	}
+	ct := sim.NewCostTable(p, g)
 	type candidate struct {
 		view   *cluster.PowerView
 		levels []int
@@ -213,7 +204,7 @@ func bestClustering(p *hw.Platform, g *graph.Graph, grid []cluster.Hyperparams, 
 	for cell, hp := range grid {
 		blocks := cluster.ClusterPrecomputedScratch(d, hp, sc)
 		pv := viewFromRowBlocks(g.Name, blocks, ids)
-		lv, energy := oracleLevels(p, g, pv, ct)
+		lv, energy := oracleLevels(p, pv, ct)
 		cands[cell] = candidate{pv, lv, energy}
 		if minE < 0 || energy < minE {
 			minE = energy
@@ -261,21 +252,14 @@ func canonicalOrder(grid []cluster.Hyperparams) []int {
 // returning each block's energy-optimal level and the view's total energy
 // per image including the energy cost of level changes at block boundaries.
 func OracleLevels(p *hw.Platform, g *graph.Graph, pv *cluster.PowerView) (levels []int, totalEnergy float64) {
-	return oracleLevels(p, g, pv, nil)
+	return oracleLevels(p, pv, sim.NewCostTable(p, g))
 }
 
-// oracleLevels runs the sweep through ct when non-nil; the cached and
-// uncached paths are bit-identical (see sim.CostTable).
-func oracleLevels(p *hw.Platform, g *graph.Graph, pv *cluster.PowerView, ct *sim.CostTable) (levels []int, totalEnergy float64) {
+// oracleLevels is OracleLevels over ct, the view's graph's cost table on p.
+func oracleLevels(p *hw.Platform, pv *cluster.PowerView, ct *sim.CostTable) (levels []int, totalEnergy float64) {
 	levels = make([]int, len(pv.Blocks))
 	for i, b := range pv.Blocks {
-		var lvl int
-		var energies []float64
-		if ct != nil {
-			lvl, energies = ct.OptimalSegmentLevel(b.StartLayer, b.EndLayer)
-		} else {
-			lvl, energies = sim.OptimalSegmentLevel(p, g, b.StartLayer, b.EndLayer)
-		}
+		lvl, energies := ct.OptimalSegmentLevel(b.StartLayer, b.EndLayer)
 		levels[i] = lvl
 		totalEnergy += energies[lvl]
 	}

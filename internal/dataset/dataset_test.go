@@ -99,7 +99,7 @@ func TestOracleLevelsMatchSegmentSweep(t *testing.T) {
 	if len(levels) != 1 {
 		t.Fatalf("levels = %v", levels)
 	}
-	want, energies := sim.OptimalSegmentLevel(p, g, 0, len(g.Layers)-1)
+	want, energies := sim.NewCostTable(p, g).OptimalSegmentLevel(0, len(g.Layers)-1)
 	if levels[0] != want {
 		t.Fatalf("oracle level %d, sweep says %d", levels[0], want)
 	}
@@ -130,8 +130,9 @@ func TestOracleSwitchPenalty(t *testing.T) {
 		t.Skip("calibration gives equal levels; switch penalty untestable here")
 	}
 	var sum float64
+	ct := sim.NewCostTable(p, g)
 	for i, b := range pv.Blocks {
-		_, es := sim.OptimalSegmentLevel(p, g, b.StartLayer, b.EndLayer)
+		_, es := ct.OptimalSegmentLevel(b.StartLayer, b.EndLayer)
 		sum += es[levels[i]]
 	}
 	if energy <= sum {
@@ -151,8 +152,9 @@ func TestVGGHeadPrefersLowFrequency(t *testing.T) {
 			break
 		}
 	}
-	bodyLvl, _ := sim.OptimalSegmentLevel(p, g, 0, split-1)
-	headLvl, _ := sim.OptimalSegmentLevel(p, g, split, len(g.Layers)-1)
+	ct := sim.NewCostTable(p, g)
+	bodyLvl, _ := ct.OptimalSegmentLevel(0, split-1)
+	headLvl, _ := ct.OptimalSegmentLevel(split, len(g.Layers)-1)
 	if headLvl >= bodyLvl {
 		t.Fatalf("head level %d must be below body level %d", headLvl, bodyLvl)
 	}

@@ -26,36 +26,30 @@ func encodeDatasets(t *testing.T, p *hw.Platform, cfg Config) []byte {
 	return data
 }
 
-// The segment-cost cache and the worker count are pure performance knobs:
-// the encoded Dataset A/B bytes must be identical with the cache on or off
-// and with one worker or many.
+// TestGenerateByteIdenticalAcrossCacheAndWorkers pins the encoded Dataset
+// A/B bytes on both platforms to goldens recorded with an uncached oracle
+// sweep (every segment summed straight from GPUOpCost), so the cost table
+// cannot move them; the goldens are never re-recorded. The worker count is a
+// pure performance knob: one worker or many give the same bytes.
 func TestGenerateByteIdenticalAcrossCacheAndWorkers(t *testing.T) {
-	p := hw.TX2()
 	base := DefaultConfig(14, 3)
+	for _, p := range hw.Platforms() {
+		want, err := os.ReadFile(filepath.Join("testdata", "generate_"+p.Name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := encodeDatasets(t, p, base); !bytes.Equal(got, want) {
+			t.Fatalf("%s: dataset bytes differ from the uncached-sweep golden", p.Name)
+		}
+	}
+
+	p := hw.TX2()
 	want := encodeDatasets(t, p, base)
-
-	noCache := base
-	noCache.disableCostCache = true
-	if got := encodeDatasets(t, p, noCache); !bytes.Equal(got, want) {
-		t.Fatal("dataset bytes changed when the cost cache was disabled")
-	}
-
-	serial := base
-	serial.Workers = 1
-	if got := encodeDatasets(t, p, serial); !bytes.Equal(got, want) {
-		t.Fatal("dataset bytes changed with Workers=1")
-	}
-
-	wide := base
-	wide.Workers = 8
-	if got := encodeDatasets(t, p, wide); !bytes.Equal(got, want) {
-		t.Fatal("dataset bytes changed with Workers=8")
-	}
-
-	serialNoCache := base
-	serialNoCache.Workers = 1
-	serialNoCache.disableCostCache = true
-	if got := encodeDatasets(t, p, serialNoCache); !bytes.Equal(got, want) {
-		t.Fatal("dataset bytes changed with Workers=1 and the cost cache disabled")
+	for _, workers := range []int{1, 8} {
+		cfg := base
+		cfg.Workers = workers
+		if got := encodeDatasets(t, p, cfg); !bytes.Equal(got, want) {
+			t.Fatalf("dataset bytes changed with Workers=%d", workers)
+		}
 	}
 }

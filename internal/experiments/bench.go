@@ -49,8 +49,9 @@ type BenchMetric struct {
 	Group string `json:"group,omitempty"`
 	// HigherIsBetter orients regression detection (throughputs: true).
 	HigherIsBetter bool `json:"higherIsBetter"`
-	// Tolerance is the relative worsening allowed before Compare flags a
-	// regression (0.25 = 25% worse). Wall-clock throughputs need generous
+	// Tolerance is the worsening factor allowed before Compare flags a
+	// regression (0.25 = 25% slower: a time may grow ×1.25, a throughput
+	// shrink ÷1.25). Wall-clock throughputs need generous
 	// tolerances: CI machines are noisy neighbors.
 	Tolerance float64 `json:"tolerance"`
 }
@@ -516,8 +517,11 @@ type BenchDelta struct {
 	Old, New float64
 	// Pct is the relative change in percent, signed so negative always
 	// means "worse" regardless of metric orientation.
-	Pct       float64
-	Tolerance float64 // allowed worsening in percent (slack applied)
+	Pct float64
+	// Tolerance is the allowed worsening in percent, slack applied: a
+	// lower-is-better metric may grow by tol·slack, a higher-is-better one
+	// may shrink by the same factor, (1 - 1/(1+tol·slack)).
+	Tolerance float64
 	Regressed bool
 	Missing   bool // present in old, absent in new
 	Added     bool // absent in old, present in new
@@ -525,7 +529,9 @@ type BenchDelta struct {
 
 // CompareBench diffs two reports metric by metric. slack scales every
 // tolerance (1 = as recorded; 2 = twice as lenient — useful across machine
-// generations). A metric that is in old but missing from new counts as a
+// generations). Worsening is judged as a ratio: a metric regresses when it
+// moves the wrong way by more than a factor 1+tol·slack, so a throughput
+// that drops to zero always regresses, whatever the slack. A metric that is in old but missing from new counts as a
 // regression (silent metric loss is exactly what schema pinning is for);
 // new metrics are reported but benign. The second result is true when any
 // regression was found.
@@ -543,7 +549,11 @@ func CompareBench(old, cur *BenchReport, slack float64) ([]BenchDelta, bool) {
 	regressed := false
 	for _, om := range old.Metrics {
 		oldSeen[om.Name] = true
-		d := BenchDelta{Name: om.Name, Old: om.Value, Tolerance: om.Tolerance * slack * 100}
+		tol := om.Tolerance * slack
+		d := BenchDelta{Name: om.Name, Old: om.Value, Tolerance: tol * 100}
+		if om.HigherIsBetter {
+			d.Tolerance = (1 - 1/(1+tol)) * 100
+		}
 		nm, ok := curBy[om.Name]
 		if !ok {
 			d.Missing, d.Regressed, regressed = true, true, true

@@ -331,6 +331,43 @@ func TestCompareBenchZeroBaseline(t *testing.T) {
 	}
 }
 
+// TestCompareBenchRatio pins the ratio verdict: a higher-is-better metric
+// regresses when new < old/(1+tol·slack), so the CI gates' tol 0.5 × slack 4
+// still catches a throughput dropping to (near) zero, while lower-is-better
+// verdicts are those of the plain relative delta.
+func TestCompareBenchRatio(t *testing.T) {
+	cases := []struct {
+		name           string
+		higherIsBetter bool
+		old, new       float64
+		wantRegressed  bool
+	}{
+		{"throughput dropped to ~zero", true, 13282, 0.001, true},
+		{"throughput dropped by 3.3x", true, 13282, 4000, true},
+		{"throughput dropped by 2.95x", true, 13282, 4500, false},
+		{"throughput improved", true, 13282, 26000, false},
+		{"time grew by 3.1x", false, 10, 31, true},
+		{"time grew by 2.9x", false, 10, 29, false},
+		{"time shrank", false, 10, 1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			metric := func(v float64) []BenchMetric {
+				return []BenchMetric{{
+					Name: "m", Value: v, Unit: "u",
+					HigherIsBetter: tc.higherIsBetter, Tolerance: 0.5,
+				}}
+			}
+			old := &BenchReport{Schema: 1, Name: "old", Metrics: metric(tc.old)}
+			cur := &BenchReport{Schema: 1, Name: "new", Metrics: metric(tc.new)}
+			ds, regressed := CompareBench(old, cur, 4)
+			if ds[0].Regressed != tc.wantRegressed || regressed != tc.wantRegressed {
+				t.Fatalf("%v -> %v: %+v, want regressed=%v", tc.old, tc.new, ds[0], tc.wantRegressed)
+			}
+		})
+	}
+}
+
 func TestBenchOptionsDefaults(t *testing.T) {
 	d := BenchOptions{}.withDefaults()
 	if d.Name != "local" || d.Seed != 1 || d.Repeats != 3 || d.Smoke {

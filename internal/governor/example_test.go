@@ -17,7 +17,7 @@ func ExamplePowerLens() {
 
 	// A plan normally comes from core.Framework.Analyze; here we preset a
 	// single mid-ladder level for the whole network.
-	lvl, _ := sim.OptimalSegmentLevel(p, g, 0, len(g.Layers)-1)
+	lvl, _ := sim.NewCostTable(p, g).OptimalSegmentLevel(0, len(g.Layers)-1)
 	plan := &governor.FrequencyPlan{Model: g.Name, Points: map[int]int{0: lvl}}
 
 	pl := sim.NewExecutor(p, governor.NewPowerLens(plan)).RunTask(g, 10)

@@ -26,6 +26,40 @@ func TestStaticStaysPut(t *testing.T) {
 	}
 }
 
+// TestPerformanceAndPowersavePins pins the stock performance and powersave
+// policies, which are Static at the top level and at level 0: they hold fmax
+// and fmin, neither switches, fmax is faster, and an interior level beats
+// both on EE for a compute workload.
+func TestPerformanceAndPowersavePins(t *testing.T) {
+	p := hw.TX2()
+	g := models.MustBuild("alexnet")
+
+	perf := sim.NewExecutor(p, NewStatic(p.NumGPULevels()-1)).RunTask(g, 3)
+	save := sim.NewExecutor(p, NewStatic(0)).RunTask(g, 3)
+
+	if perf.Switches != 0 || save.Switches != 0 {
+		t.Fatal("pinned levels must not switch")
+	}
+	for _, s := range perf.Samples {
+		if s.FreqHz != p.MaxGPUFreq() {
+			t.Fatal("top level must pin fmax")
+		}
+	}
+	for _, s := range save.Samples {
+		if s.FreqHz != p.MinGPUFreq() {
+			t.Fatal("level 0 must pin fmin")
+		}
+	}
+	if perf.Time >= save.Time {
+		t.Fatal("fmax must be faster than fmin")
+	}
+	mid := sim.NewExecutor(p, NewStatic(6)).RunTask(g, 3)
+	if mid.EE() <= perf.EE() || mid.EE() <= save.EE() {
+		t.Fatalf("interior level must beat both extremes: mid %.4f fmax %.4f fmin %.4f",
+			mid.EE(), perf.EE(), save.EE())
+	}
+}
+
 func TestOndemandPegsMaxUnderLoad(t *testing.T) {
 	p := hw.TX2()
 	e := sim.NewExecutor(p, NewOndemand())

@@ -131,7 +131,7 @@ func TestGuardAuditRecoveryAndRingReasons(t *testing.T) {
 func TestGuardForwardsAuditToInnerPlan(t *testing.T) {
 	p := hw.TX2()
 	g := models.AlexNet()
-	lvl, _ := sim.OptimalSegmentLevel(p, g, 0, len(g.Layers)-1)
+	lvl, _ := sim.NewCostTable(p, g).OptimalSegmentLevel(0, len(g.Layers)-1)
 	mid := len(g.Layers) / 2
 	plan := &FrequencyPlan{Model: g.Name, Points: map[int]int{0: lvl, mid: lvl}}
 

@@ -141,7 +141,7 @@ func TestGuardUnderFaultScheduleTracksCleanRun(t *testing.T) {
 	// under a nonzero fault schedule stays within 10% of its fault-free EE.
 	p := hw.TX2()
 	g := models.AlexNet()
-	lvl, _ := sim.OptimalSegmentLevel(p, g, 0, len(g.Layers)-1)
+	lvl, _ := sim.NewCostTable(p, g).OptimalSegmentLevel(0, len(g.Layers)-1)
 	plan := &FrequencyPlan{Model: g.Name, Points: map[int]int{0: lvl}}
 	clean := sim.NewExecutor(p, NewGuard(NewPowerLens(plan))).RunTask(g, 50)
 

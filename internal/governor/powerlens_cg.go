@@ -39,6 +39,7 @@ func OptimalCPULevel(p *hw.Platform, gpuImageTime float64, slack float64) int {
 // PlanCPULevel computes the preset CPU level for a frequency plan by
 // estimating the plan's per-image GPU time from the block levels.
 func PlanCPULevel(p *hw.Platform, g *graph.Graph, plan *FrequencyPlan) int {
+	ct := sim.NewCostTable(p, g)
 	total := 0.0
 	level := p.NumGPULevels() / 2
 	for _, l := range g.Layers {
@@ -48,8 +49,7 @@ func PlanCPULevel(p *hw.Platform, g *graph.Graph, plan *FrequencyPlan) int {
 		if l.Kind == graph.OpInput {
 			continue
 		}
-		c := p.GPUOpCost(l.FLOPs(), l.MemBytes(), p.GPUFreqsHz[level])
-		total += c.Time.Seconds()
+		total += ct.OpCost(l.ID, level).Time.Seconds()
 	}
 	return OptimalCPULevel(p, total, 0.9)
 }

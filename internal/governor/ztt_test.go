@@ -57,7 +57,7 @@ func TestZTTLosesToPowerLens(t *testing.T) {
 	p := hw.TX2()
 	g := models.MustBuild("resnet152")
 	n := len(g.Layers) - 1
-	lvl, _ := sim.OptimalSegmentLevel(p, g, 0, n)
+	lvl, _ := sim.NewCostTable(p, g).OptimalSegmentLevel(0, n)
 	plan := &FrequencyPlan{Model: g.Name, Points: map[int]int{0: lvl}}
 	pl := sim.NewExecutor(p, NewPowerLens(plan)).RunTask(g, 60)
 	ztt := sim.NewExecutor(p, NewZTT(3)).RunTask(g, 60)

@@ -53,10 +53,10 @@ func (e *Executor) noteCell(g *graph.Graph, layerID int, c *opCost) {
 	}
 	b, l := int32(block), int32(e.gpuLevel)
 	if e.Ledger != nil {
-		addCell(&e.staged, b, l, 1, c.time, c.nj)
+		addCell(&e.staged, b, l, 1, c.Time, c.nj)
 	}
 	if e.rec != nil {
-		addCell(&e.rec.cells, b, l, 1, c.time, c.nj)
+		addCell(&e.rec.cells, b, l, 1, c.Time, c.nj)
 	}
 }
 
@@ -95,7 +95,7 @@ func (e *Executor) flushCells(g *graph.Graph) {
 
 // finishPass judges and records one completed inference pass. The violation
 // verdict compares the pass's GPU busy time against the max-frequency
-// reference ref (costRef from the op-cost rebuild, or a flow summary's copy
+// reference ref (the executor costRef, or a flow summary's copy
 // of it); wall latency — including host tails — is what the ledger's latency
 // sketch and the SLO tracker record.
 func (e *Executor) finishPass(g *graph.Graph, ref, passStart time.Duration, passEnergyJ float64, gpuBusy time.Duration) {

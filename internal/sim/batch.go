@@ -13,26 +13,6 @@ import (
 // traffic across images, raising arithmetic intensity and shifting both the
 // roofline regime and the energy-optimal frequency of each block.
 
-// SegmentCostBatch is SegmentCost at a given batch size: per-layer FLOPs and
-// activation traffic scale with the batch, weight traffic does not. The
-// returned time and energy cover the whole batch (divide by batch for
-// per-image values).
-func SegmentCostBatch(p *hw.Platform, g *graph.Graph, startID, endID int, f float64, batch int) (time.Duration, float64) {
-	var t time.Duration
-	var e float64
-	for id := startID; id <= endID; id++ {
-		l := g.Layers[id]
-		if l.Kind == graph.OpInput {
-			continue
-		}
-		flops, bytes := l.BatchCost(batch)
-		c := p.GPUOpCost(flops, bytes, f)
-		t += c.Time
-		e += c.EnergyJ
-	}
-	return t, e
-}
-
 // BatchPoint is one (batch, frequency level) operating point of a network.
 type BatchPoint struct {
 	Batch   int
@@ -52,10 +32,12 @@ func OptimalBatch(p *hw.Platform, g *graph.Graph, maxBatch int, latencyBudget ti
 		maxBatch = 1
 	}
 	n := len(g.Layers) - 1
+	var ct CostTable
 	for batch := 1; batch <= maxBatch; batch *= 2 {
 		bp := BatchPoint{Batch: batch, Level: -1}
-		for lvl, f := range p.GPUFreqsHz {
-			t, e := SegmentCostBatch(p, g, 0, n, f, batch)
+		ct.reset(p, g, batch)
+		for lvl := range p.GPUFreqsHz {
+			t, e := ct.segment(0, n, lvl)
 			if latencyBudget > 0 && t > latencyBudget {
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"powerlens/internal/graph"
 	"powerlens/internal/hw"
 	"powerlens/internal/models"
 )
@@ -12,10 +13,11 @@ func TestSegmentCostBatchAmortizesWeights(t *testing.T) {
 	p := hw.TX2()
 	g := models.VGG19() // weight-heavy FC tail
 	n := len(g.Layers) - 1
-	f := p.GPUFreqsHz[8]
-
-	t1, e1 := SegmentCostBatch(p, g, 0, n, f, 1)
-	t8, e8 := SegmentCostBatch(p, g, 0, n, f, 8)
+	var ct CostTable
+	ct.reset(p, g, 1)
+	t1, e1 := ct.SegmentCost(0, n, 8)
+	ct.reset(p, g, 8)
+	t8, e8 := ct.SegmentCost(0, n, 8)
 
 	// Batch-8 must cost less than 8x batch-1 in both time and energy
 	// (weight traffic amortizes), but more than 1x.
@@ -34,15 +36,34 @@ func TestSegmentCostBatchAmortizesWeights(t *testing.T) {
 	}
 }
 
+// At batch 1 the cost table is the unbatched closed form: each layer's
+// GPUOpCost of its own FLOPs and memory bytes, summed in layer order. A table
+// reset from batch 8 back to batch 1 must agree with it too.
 func TestSegmentCostBatchOneMatchesSegmentCost(t *testing.T) {
 	p := hw.AGX()
 	g := models.ResNet34()
 	n := len(g.Layers) - 1
-	f := p.GPUFreqsHz[5]
-	t1, e1 := SegmentCost(p, g, 0, n, f)
-	tb, eb := SegmentCostBatch(p, g, 0, n, f, 1)
-	if t1 != tb || e1 != eb {
+	const lvl = 5
+	f := p.GPUFreqsHz[lvl]
+	var t1 time.Duration
+	e1 := 0.0
+	for _, l := range g.Layers {
+		if l.Kind == graph.OpInput {
+			continue
+		}
+		c := p.GPUOpCost(l.FLOPs(), l.MemBytes(), f)
+		t1 += c.Time
+		e1 += c.EnergyJ
+	}
+	ct := NewCostTable(p, g)
+	if tb, eb := ct.SegmentCost(0, n, lvl); t1 != tb || e1 != eb {
 		t.Fatalf("batch=1 must equal unbatched: %v/%v vs %v/%v", t1, e1, tb, eb)
+	}
+	ct.reset(p, g, 8)
+	ct.SegmentCost(0, n, lvl)
+	ct.reset(p, g, 1)
+	if tb, eb := ct.SegmentCost(0, n, lvl); t1 != tb || e1 != eb {
+		t.Fatalf("batch=1 after a batch-8 reset must equal unbatched: %v/%v vs %v/%v", t1, e1, tb, eb)
 	}
 }
 

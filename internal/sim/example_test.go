@@ -26,10 +26,10 @@ func ExampleExecutor_RunTask() {
 }
 
 // Sweep a whole network over the ladder to find its oracle level.
-func ExampleOptimalSegmentLevel() {
+func ExampleCostTable_OptimalSegmentLevel() {
 	p := hw.TX2()
 	g := models.MustBuild("resnet152")
-	lvl, energies := sim.OptimalSegmentLevel(p, g, 0, len(g.Layers)-1)
+	lvl, energies := sim.NewCostTable(p, g).OptimalSegmentLevel(0, len(g.Layers)-1)
 
 	fmt.Println("interior optimum:", lvl > 0 && lvl < p.NumGPULevels()-1)
 	fmt.Println("fmax wasteful:", energies[p.NumGPULevels()-1] > energies[lvl])

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"powerlens/internal/graph"
@@ -224,17 +223,12 @@ type Executor struct {
 
 	sensor *hw.PowerSensor
 
-	// Per-pass op cost scratch, rebuilt only when (graph, batch) changes:
-	// layer FLOPs/bytes at the batch size, and per-level cost rows (rows[lvl]
-	// is filled, and its storage grown, when a pass first runs at lvl; see
-	// costRow).
-	// The rebuild also derives the max-frequency GPU reference time one pass
-	// takes (the QoS baseline).
-	costGraph *graph.Graph
-	costBatch int
-	costs     []opWork
-	rows      [][]opCost
-	costRef   time.Duration
+	// cost holds the per-level op costs of the current (graph, batch); it is
+	// reset, reusing its storage, only when either changes. costRef is its
+	// whole-graph time at the top level: the max-frequency GPU reference
+	// time of one pass (the QoS baseline).
+	cost    CostTable
+	costRef time.Duration
 
 	// staged holds the current task's ledger cell deltas, keyed (block,
 	// level); runImages flushes them into Ledger when the task ends.
@@ -597,37 +591,36 @@ func (e *Executor) runImage(g *graph.Graph) {
 
 	// GPU pass, layer by layer, with the host rail active for the first
 	// cpuRemaining of it.
-	costs := e.opCosts(g, batch)
+	ct := e.costTable(g, batch)
 	passStart := e.sensor.Now()
 	passEnergy := e.sensor.EnergyJ()
 	var gpuBusy time.Duration
 	var row []opCost
 	rowLevel := -1
-	for i := range costs {
-		w := &costs[i]
-		e.Ctl.BeforeLayer(g, w.id)
+	for i, l := range g.Layers {
+		e.Ctl.BeforeLayer(g, l.ID)
 		e.applyLevel()
-		if w.skip {
+		if l.Kind == graph.OpInput {
 			continue
 		}
 		if e.gpuLevel != rowLevel {
-			row, rowLevel = e.costRow(e.gpuLevel), e.gpuLevel
+			row, rowLevel = ct.row(e.gpuLevel), e.gpuLevel
 		}
 		c := &row[i]
-		gpuBusy += c.time
+		gpuBusy += c.Time
 		if e.Ledger != nil || e.rec != nil {
-			e.noteCell(g, w.id, c)
+			e.noteCell(g, l.ID, c)
 		}
-		overlap := c.time
+		overlap := c.Time
 		if overlap > cpuRemaining {
 			overlap = cpuRemaining
 		}
 		if overlap > 0 {
-			e.advance(overlap, c.powerW+cpuPower, true, true, c.computeUt)
+			e.advance(overlap, c.PowerW+cpuPower, true, true, c.ComputeUt)
 			cpuRemaining -= overlap
 		}
-		if rest := c.time - overlap; rest > 0 {
-			e.advance(rest, c.powerW, true, false, c.computeUt)
+		if rest := c.Time - overlap; rest > 0 {
+			e.advance(rest, c.PowerW, true, false, c.ComputeUt)
 		}
 	}
 	// Host-bound tail: the GPU waits for pre-processing to finish.
@@ -642,88 +635,15 @@ func (e *Executor) runImage(g *graph.Graph) {
 	}
 }
 
-// opWork is one layer's batched pass work: FLOPs and memory traffic, plus
-// the ID handed to the controller hook.
-type opWork struct {
-	id           int
-	flops, bytes int64
-	skip         bool // OpInput — hook fires, no GPU work
-}
-
-// opCost is one layer's pass cost at one ladder level: the GPUOpCost fields
-// the step loop reads, and the energy of that one execution in the ledger's
-// nanojoules (quantized per event, exactly as the ledger would).
-type opCost struct {
-	time      time.Duration
-	powerW    float64
-	computeUt float64
-	nj        uint64
-}
-
-// opCosts returns the per-layer work buffer for (g, batch), rebuilding it
-// only when either changes. BatchCost is pure, so the precomputed values are
-// exactly what the per-layer loop would recompute every pass. The rebuild
-// invalidates every cost row, reusing their storage, and derives the
-// max-frequency GPU reference pass time (the QoS violation baseline) from the
-// top row — all pure functions of (graph, batch, platform), so caching them
-// keeps the warm path allocation-free.
-func (e *Executor) opCosts(g *graph.Graph, batch int) []opWork {
-	if e.costGraph == g && e.costBatch == batch {
-		return e.costs
+// costTable returns the op-cost table for (g, batch), resetting it only
+// when the graph, batch or platform changes, and keeps costRef in step.
+func (e *Executor) costTable(g *graph.Graph, batch int) *CostTable {
+	ct := &e.cost
+	if ct.p != e.Platform || ct.g != g || ct.batch != batch {
+		ct.reset(e.Platform, g, batch)
+		e.costRef, _ = ct.segment(0, len(g.Layers)-1, len(ct.rows)-1)
 	}
-	costs := e.costs[:0]
-	for _, l := range g.Layers {
-		w := opWork{id: l.ID, skip: l.Kind == graph.OpInput}
-		if !w.skip {
-			w.flops, w.bytes = l.BatchCost(batch)
-		}
-		costs = append(costs, w)
-	}
-	levels := e.Platform.NumGPULevels()
-	if len(e.rows) != levels {
-		e.rows = make([][]opCost, levels)
-	}
-	for lvl := range e.rows {
-		e.rows[lvl] = e.rows[lvl][:0]
-	}
-	e.costs, e.costGraph, e.costBatch = costs, g, batch
-	ref := time.Duration(0)
-	for _, c := range e.costRow(levels - 1) {
-		ref += c.time
-	}
-	e.costRef = ref
-	return costs
-}
-
-// costRow returns every layer's cost at ladder level lvl for the current
-// (graph, batch), filling the row the first time a pass runs at lvl (a
-// rebuild empties every row). The executor only ever runs ladder
-// frequencies, so the row holds exactly the GPUOpCost results the step loop
-// would otherwise compute per op per pass. OpInput entries stay zero.
-func (e *Executor) costRow(lvl int) []opCost {
-	n := len(e.costs)
-	row := e.rows[lvl]
-	if len(row) == n {
-		return row
-	}
-	row = slices.Grow(row, n)[:n]
-	f := e.Platform.GPUFreqsHz[lvl]
-	for i := range e.costs {
-		w := &e.costs[i]
-		if w.skip {
-			row[i] = opCost{}
-			continue
-		}
-		c := e.Platform.GPUOpCost(w.flops, w.bytes, f)
-		row[i] = opCost{
-			time:      c.Time,
-			powerW:    c.PowerW,
-			computeUt: c.ComputeUt,
-			nj:        ledger.Quantize(c.PowerW * c.Time.Seconds()),
-		}
-	}
-	e.rows[lvl] = row
-	return row
+	return ct
 }
 
 func clampCPU(p *hw.Platform, level int) int {

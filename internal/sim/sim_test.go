@@ -67,7 +67,7 @@ func TestEnergyMatchesSegmentCostAtFixedLevel(t *testing.T) {
 	level := 8
 	e := NewExecutor(p, &fixedCtl{level: level})
 	r := e.RunTask(g, 1)
-	_, segE := SegmentCost(p, g, 0, len(g.Layers)-1, p.GPUFreqsHz[level])
+	_, segE := NewCostTable(p, g).SegmentCost(0, len(g.Layers)-1, level)
 	// Allow for nanosecond quantization of per-op durations.
 	if math.Abs(r.EnergyJ-segE)/segE > 1e-4 {
 		t.Fatalf("executor energy %.6f J != segment cost %.6f J", r.EnergyJ, segE)
@@ -77,11 +77,11 @@ func TestEnergyMatchesSegmentCostAtFixedLevel(t *testing.T) {
 func TestSegmentCostAdditive(t *testing.T) {
 	p := hw.AGX()
 	g := models.ResNet34()
-	f := p.GPUFreqsHz[5]
+	ct := NewCostTable(p, g)
 	mid := len(g.Layers) / 2
-	t1, e1 := SegmentCost(p, g, 0, mid, f)
-	t2, e2 := SegmentCost(p, g, mid+1, len(g.Layers)-1, f)
-	tAll, eAll := SegmentCost(p, g, 0, len(g.Layers)-1, f)
+	t1, e1 := ct.SegmentCost(0, mid, 5)
+	t2, e2 := ct.SegmentCost(mid+1, len(g.Layers)-1, 5)
+	tAll, eAll := ct.SegmentCost(0, len(g.Layers)-1, 5)
 	if math.Abs((e1+e2-eAll)/eAll) > 1e-12 {
 		t.Fatal("segment energy must be additive")
 	}
@@ -93,7 +93,8 @@ func TestSegmentCostAdditive(t *testing.T) {
 func TestOptimalSegmentLevelInterior(t *testing.T) {
 	for _, p := range hw.Platforms() {
 		g := models.ResNet152()
-		best, energies := OptimalSegmentLevel(p, g, 0, len(g.Layers)-1)
+		ct := NewCostTable(p, g)
+		best, energies := ct.OptimalSegmentLevel(0, len(g.Layers)-1)
 		if len(energies) != p.NumGPULevels() {
 			t.Fatalf("energies len = %d", len(energies))
 		}
@@ -102,7 +103,7 @@ func TestOptimalSegmentLevelInterior(t *testing.T) {
 		}
 		// Best minimizes the E·t^θ score over the ladder.
 		score := func(lvl int) float64 {
-			d, e := SegmentCost(p, g, 0, len(g.Layers)-1, p.GPUFreqsHz[lvl])
+			d, e := ct.SegmentCost(0, len(g.Layers)-1, lvl)
 			return e * math.Pow(d.Seconds(), PerfWeight)
 		}
 		for i := range energies {
